@@ -1,6 +1,8 @@
 package balance
 
 import (
+	"slices"
+
 	"repro/internal/linear"
 	"repro/internal/octant"
 )
@@ -26,21 +28,38 @@ import (
 //
 // o and r must be non-overlapping octants of the same dimension.
 func Seeds(o, r octant.Octant, k int) ([]octant.Octant, bool) {
+	seeds, splits := AppendSeeds(nil, o, r, k)
+	if !splits {
+		return nil, false
+	}
+	linear.Sort(seeds)
+	return slices.Compact(seeds), true
+}
+
+// AppendSeeds is the seed kernel behind Seeds for callers that answer many
+// (o, r) pairs: it appends the seeds of o within r to dst — unsorted, and
+// possibly repeating one another — and allocates nothing beyond growing dst.
+// A responder unions the seeds of all octants influencing r and sorts and
+// deduplicates once.  Tk(o) = Tk(s) for every sibling s of o (DeltaBar is
+// sibling-invariant), so one call per sibling family suffices.
+func AppendSeeds(dst []octant.Octant, o, r octant.Octant, k int) ([]octant.Octant, bool) {
 	if o.Overlaps(r) {
 		panic("balance: Seeds requires non-overlapping octants")
 	}
 	if r.Level >= o.Level {
 		// r is as fine as o or finer: the leaf of Tk(o) covering r is
 		// at least as coarse as o, hence at least as coarse as r.
-		return nil, false
+		return dst, false
 	}
 	a := ClosestBalancedAncestor(r, o, k)
 	if a == r {
-		return nil, false
+		return dst, false
 	}
-	seeds := []octant.Octant{a}
+	dst = append(dst, a)
 	if a.Level >= r.Level+2 {
-		for _, s := range a.CoarseNeighborhood(k) {
+		p := a.Parent()
+		for _, d := range octant.Directions(int(o.Dim), k) {
+			s := p.Neighbor(d) // a member of a's coarse neighborhood N(a)
 			if !r.IsAncestor(s) {
 				continue // outside r (or as coarse as r)
 			}
@@ -48,22 +67,11 @@ func Seeds(o, r octant.Octant, k int) ([]octant.Octant, bool) {
 			if t != s {
 				// s is unbalanced with o: the true leaf of Tk(o)
 				// there is t, finer than s; t (like a) is a seed.
-				seeds = append(seeds, t)
+				dst = append(dst, t)
 			}
 		}
 	}
-	linear.Sort(seeds)
-	return dedupSorted(seeds), true
-}
-
-func dedupSorted(octs []octant.Octant) []octant.Octant {
-	out := octs[:0]
-	for i, o := range octs {
-		if i == 0 || o != octs[i-1] {
-			out = append(out, o)
-		}
-	}
-	return out
+	return dst, true
 }
 
 // TkOverlap reconstructs S = Tk(o) ∩ r from scratch: it computes the seeds

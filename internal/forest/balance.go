@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -203,26 +204,90 @@ const (
 // Set it only while no Balance call is in flight.
 var PreclusionFaultLevels int
 
-// precluded reports whether local leaf o is too coarse to force any split
-// of the query octant r: only octants at least two levels finer than r can
-// split r (Section IV).
-func precluded(o, r octant.Octant) bool {
-	return precludedLevel(o.Level, r)
+// precludedLevel reports whether a local leaf at level lv is too coarse to
+// force any split of a query octant at level rlv: only octants at least two
+// levels finer than the query octant can split it (Section IV).  The levels
+// are all the test reads, so the response path never unpacks precluded
+// candidates.
+func precludedLevel(lv, rlv int8) bool {
+	return int(lv) < int(rlv)+2+PreclusionFaultLevels
 }
 
-// precludedLevel is precluded on a packed leaf's level alone — the only
-// field the test reads, so the key-native response path never unpacks
-// precluded candidates.
-func precludedLevel(lv int8, r octant.Octant) bool {
-	return int(lv) < int(r.Level)+2+PreclusionFaultLevels
-}
-
-// query identifies one balance query: a leaf octant r expressed in the
-// responder tree's coordinate frame (r may lie outside that tree's root
-// cube when the interaction crosses a tree boundary).
+// query identifies one balance query: a leaf octant r, packed, expressed in
+// the responder tree's coordinate frame.  r lies outside that tree's root
+// cube when the interaction crosses a tree boundary; the sign-shifted key
+// order sorts such octants like any other, so every query list is simply
+// ordered by (tree, r).
 type query struct {
-	Tree int32
-	R    octant.Octant
+	tree int32
+	r    octant.Key
+}
+
+func compareQueries(a, b query) int {
+	return cmp.Or(cmp.Compare(a.tree, b.tree), octant.KeyCompare(a.r, b.r))
+}
+
+// origin is the provenance of an issued query: the local tree its octant is
+// a leaf of, and the shift that took the leaf into the responder's frame.
+type origin struct {
+	tree  int32
+	shift Shift
+}
+
+// issuedQuery is one query on its way to rank dest — the issuing rank itself
+// for an inter-tree interaction within its own partition.
+type issuedQuery struct {
+	dest int32
+	q    query
+	org  origin
+}
+
+// querySet is everything a rank asks in one Balance call: the queries sorted
+// by (destination rank, tree, r) without repeats, with destination and
+// provenance in slices parallel to qs.  The queries of one destination are a
+// contiguous run, itself in the (tree, r) order responders rely on.
+type querySet struct {
+	qs   []query
+	dest []int32
+	org  []origin
+}
+
+func newQuerySet(issued []issuedQuery) querySet {
+	slices.SortFunc(issued, func(a, b issuedQuery) int {
+		return cmp.Or(cmp.Compare(a.dest, b.dest), compareQueries(a.q, b.q))
+	})
+	s := querySet{
+		qs:   make([]query, 0, len(issued)),
+		dest: make([]int32, 0, len(issued)),
+		org:  make([]origin, 0, len(issued)),
+	}
+	for i, iq := range issued {
+		if i > 0 && iq.dest == issued[i-1].dest && iq.q == issued[i-1].q {
+			continue // one leaf reaches the same responder through several cells
+		}
+		s.qs = append(s.qs, iq.q)
+		s.dest = append(s.dest, iq.dest)
+		s.org = append(s.org, iq.org)
+	}
+	return s
+}
+
+// run returns the index range of the queries addressed to rank.
+func (s *querySet) run(rank int) (lo, hi int) {
+	lo, _ = slices.BinarySearch(s.dest, int32(rank))
+	hi, _ = slices.BinarySearch(s.dest, int32(rank)+1)
+	return lo, hi
+}
+
+// peers returns the ascending ranks other than me that are asked anything.
+func (s *querySet) peers(me int) []int {
+	var ranks []int
+	for i, d := range s.dest {
+		if int(d) != me && (i == 0 || d != s.dest[i-1]) {
+			ranks = append(ranks, int(d))
+		}
+	}
+	return ranks
 }
 
 // Balance enforces the k-balance condition across the entire forest using
@@ -238,16 +303,20 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	localAlgo := opt.LocalStage.resolve(opt.Algo)
 	remoteAlgo := opt.RemoteStage.resolve(opt.Algo)
 	workers := opt.workerCount()
+	tr, me := c.Tracer(), c.Rank()
 	if workers > 1 {
-		c.Tracer().ObserveMax(c.Rank(), obs.GaugeLocalWorkers, int64(workers))
+		tr.ObserveMax(me, obs.GaugeLocalWorkers, int64(workers))
 	}
+	// child opens a span nested under the current phase span.  Like every
+	// span it is opened and closed on the rank's own goroutine.
+	child := func(name string) obs.Span { return tr.Begin(me, name, "balance") }
 	// runParallel fans n independent tasks out over the worker pool,
 	// bracketed by a local/par span.  The span is opened and closed on the
 	// rank's own goroutine (workers never touch the tracer), so the strict
 	// per-rank span nesting holds.
 	runParallel := func(n int, task func(i int)) {
 		if workers > 1 && n > 1 {
-			sp := c.Tracer().Begin(c.Rank(), obs.SpanLocalPar, "balance")
+			sp := child(obs.SpanLocalPar)
 			parallelFor(workers, n, task)
 			sp.End()
 			return
@@ -278,64 +347,21 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	// insulation layer can leave the local partition or cross a tree
 	// boundary — subtrees with an entirely same-tree, rank-local insulation
 	// neighborhood are pruned without touching their leaves.  Only the
-	// surviving boundary leaves then run the classical per-leaf region
-	// enumeration, which builds the identical query sets.
+	// surviving boundary leaves then enumerate their insulation cells.
 	ps = beginPhase(c, "query")
-	peers := make(map[int]map[query]struct{}) // peer rank -> query set
-	selfQueries := make(map[query]struct{})
-	type origin struct {
-		shift Shift
-		tree  int32 // local tree the query octant is a leaf of
-	}
-	origins := make(map[query]origin) // every issued query -> provenance
-	dirs := octant.Directions(f.Conn.dim, f.Conn.dim)
-	boundary, queryStats := f.queryBoundaryLeaves(c.Rank(), workers, runParallel)
-	for ci := range f.Local {
-		tc := &f.Local[ci]
-		for _, li := range boundary[ci] {
-			r := tc.Leaves[li].Octant()
-			for _, d := range dirs {
-				ins := r.Neighbor(d)
-				ti, ins2, shift, ok := f.Conn.Canonicalize(tc.Tree, ins)
-				if !ok {
-					continue // domain boundary
-				}
-				first, last := f.OwnersOfRegion(ti, ins2)
-				for rank := first; rank <= last; rank++ {
-					q := query{Tree: ti, R: shift.Apply(r)}
-					if rank == c.Rank() {
-						if ti != tc.Tree {
-							selfQueries[q] = struct{}{}
-							origins[q] = origin{shift: shift, tree: tc.Tree}
-						}
-						// Same-tree self interactions were handled
-						// by the local balance phase.
-						continue
-					}
-					set := peers[rank]
-					if set == nil {
-						set = make(map[query]struct{})
-						peers[rank] = set
-					}
-					set[q] = struct{}{}
-					origins[q] = origin{shift: shift, tree: tc.Tree}
-				}
-			}
-		}
-	}
-	tr := c.Tracer()
-	tr.Add(c.Rank(), "balance/query-nodes", int64(queryStats.Nodes))
-	tr.Add(c.Rank(), "balance/query-leaves", int64(queryStats.Leaves))
-	tr.Add(c.Rank(), "balance/query-pruned", int64(queryStats.Pruned))
+	boundary, queryStats := f.queryBoundaryLeaves(me, workers, runParallel)
+	sp := child(obs.SpanQueryBuild)
+	set := f.buildQueries(me, boundary)
+	sp.End()
+	tr.Add(me, "balance/query-nodes", int64(queryStats.Nodes))
+	tr.Add(me, "balance/query-leaves", int64(queryStats.Leaves))
+	tr.Add(me, "balance/query-pruned", int64(queryStats.Pruned))
+	tr.Add(me, obs.CounterBalanceQueries, int64(len(set.qs)))
 	queryBuildTime := ps.end()
 
 	// Phase 3: Notify — reverse the asymmetric pattern.
 	ps = beginPhase(c, "notify")
-	receivers := make([]int, 0, len(peers))
-	for rank := range peers {
-		receivers = append(receivers, rank)
-	}
-	slices.Sort(receivers)
+	receivers := set.peers(me)
 	var senders []int
 	sendTo := receivers
 	switch opt.Notify {
@@ -349,7 +375,7 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 		senders = notify.RangesCodec(c, receivers, mr, opt.Codec)
 		// The sender lists contain false positives; match them with
 		// zero-length queries so every expected message exists.
-		sendTo = notify.RangeCover(receivers, mr, c.Size(), c.Rank())
+		sendTo = notify.RangeCover(receivers, mr, c.Size(), me)
 	default:
 		senders = notify.NotifyCodec(c, receivers, opt.Codec)
 	}
@@ -358,108 +384,99 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	// Phase 4: Query and Response exchange.
 	ps = beginPhase(c, "query-response")
 	dim := int8(f.Conn.dim)
+	sp = child(obs.SpanQRSend)
 	for _, rank := range sendTo {
-		qs := sortedQueries(peers[rank])
+		lo, hi := set.run(rank)
 		enc := wireEnc{b: comm.GetBuf(), codec: opt.Codec, dim: dim}
-		enc.count(len(qs))
-		for _, q := range qs {
-			enc.tree(q.Tree)
-			enc.oct(q.R)
+		enc.count(hi - lo)
+		for _, q := range set.qs[lo:hi] {
+			enc.tree(q.tree)
+			enc.oct(q.r.Octant())
 		}
 		c.AddRawBytes(enc.raw)
 		c.Send(rank, tagQuery, enc.b)
 	}
+	sp.End()
 	// Answer incoming queries (senders may include false positives with
 	// empty query lists under the Ranges scheme).
-	var respondStats traverse.Stats
+	var rst respondStats
 	for _, rank := range senders {
 		data := c.Recv(rank, tagQuery)
-		payload, raw := f.respond(data, k, remoteAlgo, opt.Codec, workers, runParallel, &respondStats)
+		sp = child(obs.SpanQRRespondRemote)
+		payload, raw := f.respond(data, k, remoteAlgo, opt.Codec, workers, runParallel, &rst)
+		sp.End()
 		c.AddRawBytes(raw)
 		c.Send(rank, tagResponse, payload)
 	}
-	// Handle self queries (inter-tree interactions within this rank)
-	// through the same response path, without messages.
-	selfResponses := f.respondQueries(sortedQueries(selfQueries), k, remoteAlgo, workers, runParallel, &respondStats)
-	// Collect responses.
-	type response struct {
-		q    query
-		octs []octant.Octant
-	}
-	var responses []response
+	// seeds[i] is the response to set.qs[i]: seed octants (new algorithm)
+	// or raw octants (old), in the responder's frame; nil when the
+	// responder forces no split.  Self queries (inter-tree interactions
+	// within this rank) take the same response path, without messages.
+	seeds := make([][]octant.Key, len(set.qs))
+	sp = child(obs.SpanQRRespondSelf)
+	selfLo, selfHi := set.run(me)
+	copy(seeds[selfLo:selfHi], f.respondQueries(set.qs[selfLo:selfHi], k, remoteAlgo, workers, runParallel, &rst))
+	sp.End()
+	sp = child(obs.SpanQRRecvWait)
 	for _, rank := range sendTo {
 		data := c.Recv(rank, tagResponse)
 		d := wireDec{b: data, codec: opt.Codec, dim: dim}
+		// A responder answers in query order and skips queries it has
+		// nothing to say to, so one forward walk of the run matches them.
+		i, hi := set.run(rank)
 		for d.more() {
 			t := d.tree()
-			r := d.oct()
-			octs := d.octs()
+			q := query{tree: t, r: octant.KeyOf(d.oct())}
+			keys := d.keys()
 			if d.err != nil {
 				break
 			}
-			responses = append(responses, response{q: query{Tree: t, R: r}, octs: octs})
+			for i < hi && set.qs[i] != q {
+				i++
+			}
+			if i == hi {
+				panic("forest: response for unknown query")
+			}
+			seeds[i] = keys
+			i++
 		}
 		if d.err != nil {
 			panic("forest: corrupt response payload: " + d.err.Error())
 		}
-		comm.PutBuf(data) // octs decoded into fresh slices above
+		comm.PutBuf(data) // keys decoded into fresh slices above
 	}
-	for q, octs := range selfResponses {
-		responses = append(responses, response{q: q, octs: octs})
-	}
-	tr.Add(c.Rank(), "balance/respond-nodes", int64(respondStats.Nodes))
-	tr.Add(c.Rank(), "balance/respond-leaves", int64(respondStats.Leaves))
-	tr.Add(c.Rank(), "balance/respond-pruned", int64(respondStats.Pruned))
+	sp.End()
+	tr.Add(me, "balance/respond-nodes", int64(rst.Nodes))
+	tr.Add(me, "balance/respond-leaves", int64(rst.Leaves))
+	tr.Add(me, "balance/respond-pruned", int64(rst.Pruned))
+	tr.Add(me, obs.CounterRespondHits, int64(rst.hits))
+	tr.Add(me, obs.CounterRespondFamilies, int64(rst.families))
 	times.QueryResponse = ps.end() + queryBuildTime
 
-	// Phase 5: Local rebalance.  Transform the response octants back into
-	// the local frames and merge their influence into the partition.
+	// Phase 5: Local rebalance.  Transform the responses back into the
+	// local frames and merge their influence into the partition.
 	ps = beginPhase(c, "rebalance")
-	// Group response octants by local tree after inverse transformation.
-	perTree := make(map[int32]map[octant.Octant][]octant.Octant) // tree -> local leaf r -> octants
-	for _, resp := range responses {
-		if len(resp.octs) == 0 {
-			continue
-		}
-		org, ok := origins[resp.q]
-		if !ok {
-			panic("forest: response for unknown query")
-		}
-		inv := org.shift.Inverse()
-		localR := inv.Apply(resp.q.R)
-		m := perTree[org.tree]
-		if m == nil {
-			m = make(map[octant.Octant][]octant.Octant)
-			perTree[org.tree] = m
-		}
-		for _, o := range resp.octs {
-			m[localR] = append(m[localR], inv.Apply(o))
-		}
-	}
+	sp = child(obs.SpanRebalanceGroup)
+	jobs, jobRange := f.rebalanceJobs(&set, seeds)
+	sp.End()
 	if remoteAlgo == AlgoNew {
-		// Flatten the per-query-octant reconstructions across all local
-		// trees into one job list so the pool stays busy even when the
-		// responses concentrate on a single tree, then splice each
-		// reconstructed subtree into its tree's leaf array (a k-way merge
-		// over contiguous leaf segments, itself parallel across trees).
-		var jobs []rebalanceJob
-		jobRange := make([][2]int, len(f.Local))
-		for i := range f.Local {
-			start := len(jobs)
-			jobs = appendRebalanceJobs(jobs, perTree[f.Local[i].Tree])
-			jobRange[i] = [2]int{start, len(jobs)}
-		}
+		// The per-query-octant reconstructions of all local trees form one
+		// job list, so the pool stays busy even when the responses
+		// concentrate on a single tree; each reconstructed subtree is then
+		// spliced into its tree's leaf array (a k-way merge over contiguous
+		// leaf segments, itself parallel across trees).
+		sp = child(obs.SpanRebalanceSubtree)
 		runParallel(len(jobs), func(i int) {
 			j := &jobs[i]
-			seeds := octant.AppendKeys(make([]octant.Key, 0, len(j.seeds)), j.seeds)
-			linear.SortKeys(seeds)
-			seeds = dedupKeys(seeds)
-			sub := balance.SubtreeNewKeys(j.rk, seeds, k)
+			linear.SortKeys(j.seeds)
+			sub := balance.SubtreeNewKeys(j.rk, slices.Compact(j.seeds), k)
 			if len(sub) == 1 && sub[0] == j.rk {
 				return // no split forced; keep the leaf
 			}
 			j.sub = sub
 		})
+		sp.End()
+		sp = child(obs.SpanRebalanceSplice)
 		runParallel(len(f.Local), func(i int) {
 			lo, hi := jobRange[i][0], jobRange[i][1]
 			if lo == hi {
@@ -468,15 +485,19 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 			tc := &f.Local[i]
 			tc.Leaves = spliceReplaceKeys(tc.Leaves, jobs[lo:hi])
 		})
+		sp.End()
 	} else {
 		runParallel(len(f.Local), func(i int) {
-			tc := &f.Local[i]
-			groups := perTree[tc.Tree]
-			if len(groups) == 0 {
+			lo, hi := jobRange[i][0], jobRange[i][1]
+			if lo == hi {
 				return
 			}
-			octs := rebalanceOld(root, tc.Octants(), groups, k)
-			tc.Leaves = octant.AppendKeys(tc.Leaves[:0], octs)
+			var recv []octant.Key
+			for _, j := range jobs[lo:hi] {
+				recv = append(recv, j.seeds...)
+			}
+			tc := &f.Local[i]
+			tc.Leaves = rebalanceOld(root, tc.Leaves, recv, k)
 		})
 	}
 	times.Rebalance = ps.end()
@@ -484,34 +505,6 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	c.SetPhase("default")
 	f.NumGlobal = c.AllreduceSumInt64(f.NumLocal())
 	return times
-}
-
-// sortedQueries returns the query set in a deterministic order.  The key is
-// the coordinate tuple, not the Morton index: query octants can lie outside
-// the responder tree's root cube, where the Morton comparison is not a
-// usable order (negative coordinates flip its bit interleaving).
-func sortedQueries(set map[query]struct{}) []query {
-	qs := make([]query, 0, len(set))
-	for q := range set {
-		qs = append(qs, q)
-	}
-	slices.SortFunc(qs, compareQueries)
-	return qs
-}
-
-func compareQueries(a, b query) int {
-	switch {
-	case a.Tree != b.Tree:
-		return int(a.Tree) - int(b.Tree)
-	case a.R.X != b.R.X:
-		return int(a.R.X) - int(b.R.X)
-	case a.R.Y != b.R.Y:
-		return int(a.R.Y) - int(b.R.Y)
-	case a.R.Z != b.R.Z:
-		return int(a.R.Z) - int(b.R.Z)
-	default:
-		return int(a.R.Level) - int(b.R.Level)
-	}
 }
 
 // localBalanceChunk balances one rank's contiguous leaf range of a tree:
@@ -546,159 +539,81 @@ func clipToRange(octs []octant.Octant, first, last octant.Octant) []octant.Octan
 	return out
 }
 
-// respond processes one incoming query message and produces the response
-// payload plus its v0-equivalent raw size: for each query octant, the local
-// octants (old algorithm) or seed octants (new algorithm) that encode how
-// the query octant must split.  The query buffer is recycled here.
-func (f *Forest) respond(data []byte, k int, algo Algo, codec WireCodec, workers int, par func(int, func(int)), st *traverse.Stats) ([]byte, int) {
-	dim := int8(f.Conn.dim)
-	d := wireDec{b: data, codec: codec, dim: dim}
-	minQuery := d.minOct() + 1 // tree id is at least one byte (4 in v0)
-	if codec != WireV1 {
-		minQuery = d.minOct() + 4
+// buildQueries enumerates the queries of the boundary leaves (phase 2): for
+// every insulation cell of a leaf, the owners of the cell's region are asked
+// how the leaf must split.  The cell is derived on the packed key; while it
+// stays inside the root, Canonicalize is the identity, so a cell owned by
+// this rank alone is dismissed — and a remote one addressed — without
+// unpacking anything.  Only cells that leave the root unpack the leaf for
+// the connectivity map.
+func (f *Forest) buildQueries(me int, boundary [][]int32) querySet {
+	ot := f.ownerTable()
+	dirs := octant.Directions(f.Conn.dim, f.Conn.dim)
+	// target is where one insulation cell sends its leaf; a leaf has at most
+	// one distinct target per direction, and its query octant depends on the
+	// target tree alone.
+	type target struct {
+		tree        int32
+		first, last int
 	}
-	n := d.count(minQuery)
-	qs := make([]query, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		t := d.tree()
-		r := d.oct()
-		qs = append(qs, query{Tree: t, R: r})
-	}
-	if d.err != nil {
-		panic("forest: corrupt query payload: " + d.err.Error())
-	}
-	comm.PutBuf(data) // queries decoded into fresh memory above
-	resp := f.respondQueries(qs, k, algo, workers, par, st)
-	enc := wireEnc{b: comm.GetBuf(), codec: codec, dim: dim}
-	for _, q := range qs {
-		octs := resp[q]
-		if len(octs) == 0 {
-			continue
-		}
-		enc.tree(q.Tree)
-		enc.oct(q.R)
-		enc.count(len(octs))
-		for _, o := range octs {
-			enc.oct(o)
-		}
-	}
-	return enc.b, enc.raw
-}
-
-// respHit is one candidate (query, leaf) pair the simultaneous traversal
-// matched: leaf index li of the chunk of query qi's tree intersects the
-// insulation box of that query's octant and is fine enough to possibly
-// split it.
-type respHit struct {
-	qi, li int32
-}
-
-// respondQueries computes response octants for a list of queries against
-// the local partition.  Candidate leaves come from one simultaneous
-// traversal per tree chunk (traverse.SearchBoundary): the chunk's implicit
-// octree is walked against the insulation boxes of the chunk's queries, so
-// subtrees far from every query region are pruned wholesale — the old code
-// instead ran up to 27 window searches per query.  An aligned cube
-// intersects an aligned insulation cell with positive volume only if one
-// contains the other, so the matched set equals the classical per-region
-// overlap union exactly.  Traversal tasks and then the per-query seed
-// computations fan out over the worker pool via par; hits are re-sorted by
-// (query, curve position) and each result lands in the slot of its query
-// index, keeping the output bit-identical at every worker count.  st (may
-// be nil) accumulates traversal work counters.
-func (f *Forest) respondQueries(qs []query, k int, algo Algo, workers int, par func(int, func(int)), st *traverse.Stats) map[query][]octant.Octant {
-	if st == nil {
-		st = new(traverse.Stats)
-	}
-	results := make([][]octant.Octant, len(qs))
-	rootKey := octant.KeyOf(octant.Root(f.Conn.dim))
-	maxTasks := 1
-	if workers > 1 {
-		maxTasks = 4 * workers
-	}
-	var hits []respHit
+	var issued []issuedQuery
 	for ci := range f.Local {
 		tc := &f.Local[ci]
-		var qidx []int32
-		var boxes []traverse.Box
-		for i := range qs {
-			if qs[i].Tree == tc.Tree {
-				qidx = append(qidx, int32(i))
-				boxes = append(boxes, traverse.InsulationBox(qs[i].R))
+		for _, li := range boundary[ci] {
+			leaf := tc.Leaves[li]
+			var (
+				r        octant.Octant // leaf unpacked, once a cell leaves the root
+				unpacked bool
+				seen     [26]target
+				nseen    int
+			)
+		cells:
+			for _, d := range dirs {
+				cell := leaf.Neighbor(d)
+				tgt := target{tree: tc.Tree}
+				var shift Shift
+				if cell.InsideRoot() {
+					if ot.ownsRegionKey(me, tc.Tree, cell) {
+						continue // same tree, own partition: done by the local balance
+					}
+					tgt.first, tgt.last = ot.ownersOfRegionKey(tc.Tree, cell)
+				} else {
+					if !unpacked {
+						r, unpacked = leaf.Octant(), true
+					}
+					ti, cell2, sh, ok := f.Conn.Canonicalize(tc.Tree, r.Neighbor(d))
+					if !ok {
+						continue // domain boundary
+					}
+					tgt.tree, shift = ti, sh
+					tgt.first, tgt.last = ot.ownersOfRegionKey(ti, octant.KeyOf(cell2))
+				}
+				for _, s := range seen[:nseen] {
+					if s == tgt {
+						continue cells
+					}
+				}
+				seen[nseen] = tgt
+				nseen++
+				q := query{tree: tgt.tree, r: shift.applyKey(leaf)}
+				for rank := tgt.first; rank <= tgt.last; rank++ {
+					if rank == me && tgt.tree == tc.Tree {
+						continue
+					}
+					issued = append(issued, issuedQuery{dest: int32(rank), q: q, org: origin{tree: tc.Tree, shift: shift}})
+				}
 			}
 		}
-		if len(qidx) == 0 {
-			continue
-		}
-		tasks := traverse.SplitTasksKeys(rootKey, tc.Leaves, maxTasks)
-		taskHits := make([][]respHit, len(tasks))
-		taskStats := make([]traverse.Stats, len(tasks))
-		par(len(tasks), func(i int) {
-			t := tasks[i]
-			var out []respHit
-			traverse.SearchBoundaryKeys(t.Root, tc.Leaves[t.Lo:t.Hi], boxes, func(li, bi int) {
-				abs := int32(t.Lo + li)
-				if precludedLevel(tc.Leaves[abs].Level(), qs[qidx[bi]].R) {
-					return
-				}
-				out = append(out, respHit{qi: qidx[bi], li: abs})
-			}, &taskStats[i])
-			taskHits[i] = out
-		})
-		for i := range tasks {
-			hits = append(hits, taskHits[i]...)
-			st.Merge(taskStats[i])
-		}
 	}
-	// Regroup the curve-ordered hits into one contiguous ascending run per
-	// query, then compute each query's response from its run.
-	slices.SortFunc(hits, func(a, b respHit) int {
-		if a.qi != b.qi {
-			return int(a.qi) - int(b.qi)
-		}
-		return int(a.li) - int(b.li)
-	})
-	runLo := make([]int, len(qs))
-	runHi := make([]int, len(qs))
-	for i := 0; i < len(hits); {
-		j := i
-		qi := hits[i].qi
-		for j < len(hits) && hits[j].qi == qi {
-			j++
-		}
-		runLo[qi], runHi[qi] = i, j
-		i = j
+	return newQuerySet(issued)
+}
+
+// applyKey translates a packed octant by the shift.
+func (s Shift) applyKey(k octant.Key) octant.Key {
+	if s == (Shift{}) {
+		return k
 	}
-	par(len(qs), func(qi int) {
-		lo, hi := runLo[qi], runHi[qi]
-		if lo >= hi {
-			return
-		}
-		q := qs[qi]
-		leaves := f.chunkFor(q.Tree).Leaves
-		var resp []octant.Octant
-		for _, h := range hits[lo:hi] {
-			o := leaves[h.li].Octant()
-			if algo == AlgoNew {
-				if seeds, splits := balance.Seeds(o, q.R, k); splits {
-					resp = append(resp, seeds...)
-				}
-			} else {
-				resp = append(resp, o)
-			}
-		}
-		if len(resp) > 0 {
-			linear.Sort(resp)
-			results[qi] = dedupOctants(resp)
-		}
-	})
-	out := make(map[query][]octant.Octant, len(qs))
-	for i, q := range qs {
-		if len(results[i]) > 0 {
-			out[q] = results[i]
-		}
-	}
-	return out
+	return octant.KeyOf(s.Apply(k.Octant()))
 }
 
 // queryPrunable reports whether no leaf below virtual node w of tree t can
@@ -715,13 +630,13 @@ func (f *Forest) respondQueries(qs []query, k int, algo Algo, workers int, par f
 // take the key-native owner lookup without ever materializing coordinates.
 // Only cells crossing the root boundary unpack for the connectivity map.
 func (f *Forest) queryPrunable(ot *ownerTable, dirs []octant.Dir, buf []octant.Key, t int32, w octant.Key, me int) bool {
-	if first, last := ot.ownersOfRegionKey(t, w); first != me || last != me {
+	if !ot.ownsRegionKey(me, t, w) {
 		return false
 	}
 	octant.KeyNeighbors(w, dirs, buf)
 	for _, cell := range buf[:len(dirs)] {
 		if cell.InsideRoot() {
-			if first, last := ot.ownersOfRegionKey(t, cell); first != me || last != me {
+			if !ot.ownsRegionKey(me, t, cell) {
 				return false
 			}
 			continue
@@ -791,52 +706,267 @@ func (f *Forest) queryBoundaryLeaves(me, workers int, par func(int, func(int))) 
 	return out, st
 }
 
-func dedupOctants(octs []octant.Octant) []octant.Octant {
-	out := octs[:0]
-	for i, o := range octs {
-		if i == 0 || o != octs[i-1] {
-			out = append(out, o)
+// respond processes one incoming query message and produces the response
+// payload plus its v0-equivalent raw size: for each query octant, the local
+// octants (old algorithm) or seed octants (new algorithm) that encode how
+// the query octant must split.  The query buffer is recycled here.
+func (f *Forest) respond(data []byte, k int, algo Algo, codec WireCodec, workers int, par func(int, func(int)), st *respondStats) ([]byte, int) {
+	dim := int8(f.Conn.dim)
+	d := wireDec{b: data, codec: codec, dim: dim}
+	minQuery := d.minOct() + 1 // tree id is at least one byte (4 in v0)
+	if codec != WireV1 {
+		minQuery = d.minOct() + 4
+	}
+	n := d.count(minQuery)
+	qs := make([]query, 0, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		t := d.tree()
+		qs = append(qs, query{tree: t, r: octant.KeyOf(d.oct())})
+	}
+	if d.err != nil {
+		panic("forest: corrupt query payload: " + d.err.Error())
+	}
+	if !slices.IsSortedFunc(qs, compareQueries) {
+		panic("forest: query payload not in (tree, key) order")
+	}
+	comm.PutBuf(data) // queries decoded into fresh memory above
+	resp := f.respondQueries(qs, k, algo, workers, par, st)
+	enc := wireEnc{b: comm.GetBuf(), codec: codec, dim: dim}
+	for i, q := range qs {
+		if len(resp[i]) == 0 {
+			continue
+		}
+		enc.tree(q.tree)
+		enc.oct(q.r.Octant())
+		enc.count(len(resp[i]))
+		for _, o := range resp[i] {
+			enc.oct(o.Octant())
 		}
 	}
-	return out
+	return enc.b, enc.raw
 }
 
-func dedupKeys(keys []octant.Key) []octant.Key {
-	out := keys[:0]
-	for i, k := range keys {
-		if i == 0 || k != keys[i-1] {
-			out = append(out, k)
+// respHit is one candidate (query, leaf) pair the simultaneous traversal
+// matched: leaf index li of the chunk of query qi's tree intersects the
+// insulation box of that query's octant and is fine enough to possibly
+// split it.
+type respHit struct {
+	qi, li int32
+}
+
+// respondStats accumulates the responder's work counters over one Balance
+// call: the traversal's, the candidate (query, leaf) hits it produced, and
+// the hits that survived the sibling-family skip to reach the seed kernel.
+type respondStats struct {
+	traverse.Stats
+	hits, families int
+}
+
+// regroupHits turns the traversal's hit list into one contiguous run per
+// query: lis[off[qi]:off[qi+1]] are the leaf indices matched by query qi.
+// The traversal emits hits in curve order, so a stable counting sort on the
+// query index leaves every run ascending without comparing anything.
+func regroupHits(hits []respHit, nq int) (lis, off []int32) {
+	off = make([]int32, nq+1)
+	for _, h := range hits {
+		off[h.qi+1]++
+	}
+	for qi := 0; qi < nq; qi++ {
+		off[qi+1] += off[qi]
+	}
+	lis = make([]int32, len(hits))
+	for _, h := range hits {
+		lis[off[h.qi]] = h.li
+		off[h.qi]++
+	}
+	// Every off[qi] has walked from the start of run qi to its end, which is
+	// the start of run qi+1: shift the offsets back into place.
+	copy(off[1:], off[:nq])
+	off[0] = 0
+	return lis, off
+}
+
+// respondQueries computes the response to every query of a (tree, r)-sorted
+// list against the local partition; result i answers qs[i] and is nil when
+// nothing here splits it.  Candidate leaves come from one simultaneous
+// traversal per tree chunk (traverse.SearchBoundaryKeys): the chunk's
+// implicit octree is walked against the insulation boxes of the chunk's
+// queries, so subtrees far from every query region are pruned wholesale.  An
+// aligned cube intersects an aligned insulation cell with positive volume
+// only if one contains the other, so the matched set equals the classical
+// per-region overlap union exactly.  appendResponse turns a query's
+// candidates into its response.
+//
+// Traversal tasks and then blocks of queries fan out over the worker pool
+// via par; every result lands in the slot of its query index, keeping the
+// output bit-identical at every worker count.
+func (f *Forest) respondQueries(qs []query, k int, algo Algo, workers int, par func(int, func(int)), st *respondStats) [][]octant.Key {
+	results := make([][]octant.Key, len(qs))
+	rootKey := octant.KeyOf(octant.Root(f.Conn.dim))
+	maxTasks := 1
+	if workers > 1 {
+		maxTasks = 4 * workers
+	}
+	byTree := func(q query, t int32) int { return cmp.Compare(q.tree, t) }
+	var hits []respHit
+	for ci := range f.Local {
+		tc := &f.Local[ci]
+		qlo, _ := slices.BinarySearchFunc(qs, tc.Tree, byTree)
+		qhi, _ := slices.BinarySearchFunc(qs, tc.Tree+1, byTree)
+		if qlo == qhi {
+			continue
+		}
+		boxes := make([]traverse.Box, qhi-qlo)
+		for i := range boxes {
+			boxes[i] = traverse.InsulationBox(qs[qlo+i].r.Octant())
+		}
+		tasks := traverse.SplitTasksKeys(rootKey, tc.Leaves, maxTasks)
+		taskHits := make([][]respHit, len(tasks))
+		taskStats := make([]traverse.Stats, len(tasks))
+		par(len(tasks), func(i int) {
+			t := tasks[i]
+			var out []respHit
+			traverse.SearchBoundaryKeys(t.Root, tc.Leaves[t.Lo:t.Hi], boxes, func(li, bi int) {
+				abs, qi := t.Lo+li, qlo+bi
+				if precludedLevel(tc.Leaves[abs].Level(), qs[qi].r.Level()) {
+					return
+				}
+				out = append(out, respHit{qi: int32(qi), li: int32(abs)})
+			}, &taskStats[i])
+			taskHits[i] = out
+		})
+		for i := range tasks {
+			hits = append(hits, taskHits[i]...)
+			st.Merge(taskStats[i])
 		}
 	}
-	return out
+	lis, off := regroupHits(hits, len(qs))
+	st.hits += len(hits)
+
+	// Each block of queries appends its responses back to back into one
+	// arena and hands out sub-slices once the arena has stopped growing.
+	blocks := min(maxTasks, len(qs))
+	families := make([]int, blocks)
+	par(blocks, func(b int) {
+		lo, hi := b*len(qs)/blocks, (b+1)*len(qs)/blocks
+		var arena []octant.Key
+		var scratch []octant.Octant
+		ends := make([]int, 0, hi-lo)
+		ci, fam := 0, 0
+		for qi := lo; qi < hi; qi++ {
+			if run := lis[off[qi]:off[qi+1]]; len(run) > 0 {
+				for f.Local[ci].Tree != qs[qi].tree {
+					ci++
+				}
+				var n int
+				arena, scratch, n = appendResponse(arena, scratch, f.Local[ci].Leaves, run, qs[qi].r, k, algo)
+				fam += n
+			}
+			ends = append(ends, len(arena))
+		}
+		families[b] = fam
+		start := 0
+		for i, end := range ends {
+			if end > start {
+				// Capacity is clipped: the rebalance appends to merged
+				// responses and must not run into the neighbor's.
+				results[lo+i] = arena[start:end:end]
+			}
+			start = end
+		}
+	})
+	for _, n := range families {
+		st.families += n
+	}
+	return results
+}
+
+// appendResponse appends to arena the response to query octant r given its
+// candidate leaves, leaves[li] for the ascending indices li of run, and
+// returns how many candidates it had to evaluate.  The old algorithm answers
+// with the candidates themselves.  The new one answers with the union of
+// their seeds within r, sorted and without repeats; Tk(o) is the same tree
+// for every sibling of o (Section IV), so consecutive hits of one sibling
+// family — adjacent in curve order — cost a single seed computation.
+// scratch is the caller's reusable seed buffer.
+func appendResponse(arena []octant.Key, scratch []octant.Octant, leaves []octant.Key, run []int32, r octant.Key, k int, algo Algo) ([]octant.Key, []octant.Octant, int) {
+	if algo != AlgoNew {
+		for _, li := range run {
+			arena = append(arena, leaves[li])
+		}
+		return arena, scratch, len(run)
+	}
+	ro := r.Octant()
+	scratch = scratch[:0]
+	families := 0
+	var family octant.Key // parent of the previous hit
+	for _, li := range run {
+		o := leaves[li]
+		if p := o.Parent(); p != family {
+			family = p
+			families++
+			scratch, _ = balance.AppendSeeds(scratch, o.Octant(), ro, k)
+		}
+	}
+	start := len(arena)
+	arena = octant.AppendKeys(arena, scratch)
+	linear.SortKeys(arena[start:])
+	return arena[:start+len(slices.Compact(arena[start:]))], scratch, families
 }
 
 // rebalanceJob is one unit of the paper's Local rebalance: the seeds
-// received for query octant r are balanced inside r (reconstructing
-// Tk(o) ∩ r for all influencing octants o at once), and the resulting
-// subtree replaces r in the partition.  Jobs are independent, so Balance
-// hands them to the worker pool; sub stays nil when r need not split.
-// rk is r packed, the form the subtree reconstruction and the splice
-// merge operate on.
+// received for the local leaf rk of the given tree are balanced inside it
+// (reconstructing Tk(o) ∩ r for all influencing octants o at once), and the
+// resulting subtree replaces the leaf in the partition.  Jobs are
+// independent, so Balance hands them to the worker pool; sub stays nil when
+// the leaf need not split.
 type rebalanceJob struct {
-	r     octant.Octant
+	tree  int32
 	rk    octant.Key
-	seeds []octant.Octant
+	seeds []octant.Key
 	sub   []octant.Key
 }
 
-// appendRebalanceJobs flattens one tree's response groups into jobs, sorted
-// by the query octant's Morton position (r is a local leaf, so the Morton
-// order is well defined) for a deterministic job list and for the splice
-// merge, which consumes jobs in leaf order.
-func appendRebalanceJobs(jobs []rebalanceJob, groups map[octant.Octant][]octant.Octant) []rebalanceJob {
-	start := len(jobs)
-	for r, seeds := range groups {
-		jobs = append(jobs, rebalanceJob{r: r, rk: octant.KeyOf(r), seeds: seeds})
+// rebalanceJobs turns the answered queries back into local terms: query
+// octant and response are shifted from the responder's frame into the frame
+// of the leaf's own tree, and the responses one leaf drew from several
+// responders are merged.  The jobs come back sorted by (tree, rk) — the order
+// the splice merge consumes — with jobRange[i] delimiting the jobs of chunk
+// f.Local[i].
+func (f *Forest) rebalanceJobs(set *querySet, seeds [][]octant.Key) ([]rebalanceJob, [][2]int) {
+	var jobs []rebalanceJob
+	for i, resp := range seeds {
+		if len(resp) == 0 {
+			continue
+		}
+		inv := set.org[i].shift.Inverse()
+		for j := range resp {
+			resp[j] = inv.applyKey(resp[j])
+		}
+		jobs = append(jobs, rebalanceJob{tree: set.org[i].tree, rk: inv.applyKey(set.qs[i].r), seeds: resp})
 	}
-	added := jobs[start:]
-	slices.SortFunc(added, func(a, b rebalanceJob) int { return octant.KeyCompare(a.rk, b.rk) })
-	return jobs
+	slices.SortFunc(jobs, func(a, b rebalanceJob) int {
+		return cmp.Or(cmp.Compare(a.tree, b.tree), octant.KeyCompare(a.rk, b.rk))
+	})
+	merged := jobs[:0]
+	for _, j := range jobs {
+		if n := len(merged); n > 0 && merged[n-1].tree == j.tree && merged[n-1].rk == j.rk {
+			merged[n-1].seeds = append(merged[n-1].seeds, j.seeds...)
+			continue
+		}
+		merged = append(merged, j)
+	}
+	// Every job belongs to a local chunk, and both lists ascend by tree.
+	jobRange := make([][2]int, len(f.Local))
+	j := 0
+	for i := range f.Local {
+		lo := j
+		for j < len(merged) && merged[j].tree == f.Local[i].Tree {
+			j++
+		}
+		jobRange[i] = [2]int{lo, j}
+	}
+	return merged, jobRange
 }
 
 // spliceReplaceKeys merges the reconstructed subtrees into the tree's leaf
@@ -891,21 +1021,20 @@ func spliceReplaceKeys(leaves []octant.Key, jobs []rebalanceJob) []octant.Key {
 // is rebalanced at tree scope together with all received raw octants, using
 // auxiliary octants for out-of-root and distant influences, and the result
 // is clipped back to the owned range.
-func rebalanceOld(root octant.Octant, leaves []octant.Octant, groups map[octant.Octant][]octant.Octant, k int) []octant.Octant {
-	var inRoot, outside []octant.Octant
-	for _, octs := range groups {
-		for _, o := range octs {
-			if root.IsAncestorOrEqual(o) {
-				inRoot = append(inRoot, o)
-			} else {
-				outside = append(outside, o)
-			}
+func rebalanceOld(root octant.Octant, leaves, recv []octant.Key, k int) []octant.Key {
+	rootKey := octant.KeyOf(root)
+	first, last := leaves[0], leaves[len(leaves)-1]
+	in := append(make([]octant.Key, 0, len(leaves)+len(recv)), leaves...)
+	var outside []octant.Octant
+	for _, o := range recv {
+		if rootKey.IsAncestorOrEqual(o) {
+			in = append(in, o)
+		} else {
+			outside = append(outside, o.Octant())
 		}
 	}
-	first, last := leaves[0], leaves[len(leaves)-1]
-	in := append(append(make([]octant.Octant, 0, len(leaves)+len(inRoot)), leaves...), inRoot...)
-	linear.Sort(in)
-	in = dedupOctants(in)
-	bal := balance.SubtreeOldExtended(root, in, outside, k)
-	return clipToRange(bal, first, last)
+	linear.SortKeys(in)
+	in = slices.Compact(in)
+	bal := balance.SubtreeOldExtended(root, octant.AppendOctants(make([]octant.Octant, 0, len(in)), in), outside, k)
+	return clipToRangeKeys(octant.AppendKeys(leaves[:0], bal), first, last)
 }

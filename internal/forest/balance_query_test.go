@@ -1,0 +1,345 @@
+package forest
+
+import (
+	"cmp"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"repro/internal/comm"
+	"repro/internal/linear"
+	"repro/internal/obs"
+	"repro/internal/octant"
+	"repro/internal/otest"
+)
+
+// coordQuery is a query the way the map-based exchange keyed it: by
+// destination, tree and the coordinate tuple of its octant.
+type coordQuery struct {
+	dest, tree int32
+	r          octant.Octant
+}
+
+// randomQueryOctant returns an octant in or around the root: a random in-root
+// octant moved by up to one root length per axis, i.e. a query octant as seen
+// from a neighboring tree's frame.
+func randomQueryOctant(rng *rand.Rand, dim int) octant.Octant {
+	o := otest.RandomOctant(rng, dim, 0, 6)
+	var step [3]int32
+	for i := 0; i < dim; i++ {
+		step[i] = int32(rng.Intn(3)-1) * octant.RootLen
+	}
+	return o.Translated(step[0], step[1], step[2])
+}
+
+// TestQuerySetMatchesCoordinateDedup checks that ordering queries by (dest,
+// tree, packed key) and dropping adjacent repeats finds exactly the set the
+// coordinate-tuple map found — nothing lost, nothing kept twice — for query
+// octants inside and outside the root, that the order is strict and total,
+// and that destination and provenance stay attached to their query.
+func TestQuerySetMatchesCoordinateDedup(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, dim := range []int{2, 3} {
+		for trial := 0; trial < 50; trial++ {
+			pool := make([]coordQuery, 40)
+			for i := range pool {
+				pool[i] = coordQuery{dest: int32(rng.Intn(3)), tree: int32(rng.Intn(3)), r: randomQueryOctant(rng, dim)}
+			}
+			want := make(map[coordQuery]bool)
+			var issued []issuedQuery
+			for i := 0; i < 150; i++ {
+				cq := pool[rng.Intn(len(pool))]
+				want[cq] = true
+				issued = append(issued, issuedQuery{
+					dest: cq.dest,
+					q:    query{tree: cq.tree, r: octant.KeyOf(cq.r)},
+					org:  origin{tree: cq.tree + 100*cq.dest, shift: Shift{cq.r.X, cq.r.Y, cq.r.Z}},
+				})
+			}
+			set := newQuerySet(issued)
+			if len(set.qs) != len(want) || len(set.dest) != len(want) || len(set.org) != len(want) {
+				t.Fatalf("dim %d: %d queries (%d dests, %d origins) for %d distinct coordinate tuples",
+					dim, len(set.qs), len(set.dest), len(set.org), len(want))
+			}
+			for i, q := range set.qs {
+				cq := coordQuery{dest: set.dest[i], tree: q.tree, r: q.r.Octant()}
+				if !want[cq] {
+					t.Fatalf("dim %d: query %+v was never issued", dim, cq)
+				}
+				if (set.org[i] != origin{tree: cq.tree + 100*cq.dest, shift: Shift{cq.r.X, cq.r.Y, cq.r.Z}}) {
+					t.Fatalf("dim %d: query %+v carries the provenance %+v of another", dim, cq, set.org[i])
+				}
+				if i == 0 {
+					continue
+				}
+				if set.dest[i] < set.dest[i-1] || (set.dest[i] == set.dest[i-1] && compareQueries(set.qs[i-1], q) >= 0) {
+					t.Fatalf("dim %d: queries %d and %d out of (dest, tree, key) order", dim, i-1, i)
+				}
+			}
+			for _, a := range set.qs {
+				for _, b := range set.qs {
+					ab := compareQueries(a, b)
+					if ab != -compareQueries(b, a) || (ab == 0) != (a == b) {
+						t.Fatalf("dim %d: compareQueries is not a strict total order on %+v, %+v", dim, a, b)
+					}
+					if a.tree == b.tree && ab != cmp.Compare(octant.Compare(a.r.Octant(), b.r.Octant()), 0) {
+						t.Fatalf("dim %d: key order disagrees with the Morton order of %v and %v", dim, a.r, b.r)
+					}
+				}
+			}
+			for rank := 0; rank < 4; rank++ {
+				lo, hi := set.run(rank)
+				for i := range set.dest {
+					if (int(set.dest[i]) == rank) != (lo <= i && i < hi) {
+						t.Fatalf("dim %d: run(%d) = [%d, %d) misplaces query %d for rank %d", dim, rank, lo, hi, i, set.dest[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBuildQueriesMatchesClassical compares the key-native query build —
+// in-root cells never unpacked, per-leaf target dedup — against the
+// classical enumeration: every insulation cell canonicalized on coordinates
+// and every owner of its region asked.
+func TestBuildQueriesMatchesClassical(t *testing.T) {
+	topos := []struct {
+		name string
+		conn *Connectivity
+	}{
+		{"brick2d", NewBrick(2, 3, 2, 1, [3]bool{})},
+		{"periodic2d", NewBrick(2, 4, 3, 1, [3]bool{true, false, false})},
+		{"masked2d", NewMaskedBrick(2, 3, 3, 1, [3]bool{}, func(x, y, z int) bool { return x != 1 || y != 1 })},
+		{"brick3d", NewBrick(3, 2, 2, 1, [3]bool{})},
+	}
+	for _, topo := range topos {
+		dirs := octant.Directions(topo.conn.dim, topo.conn.dim)
+		for _, p := range []int{1, 4, 13} {
+			runForest(t, topo.conn, p, 1, func(c *comm.Comm, f *Forest) {
+				f.Refine(c, 4, fractalRefine(4))
+				f.Partition(c, nil)
+				me := c.Rank()
+				want := make(map[coordQuery]origin)
+				for ci := range f.Local {
+					tc := &f.Local[ci]
+					for _, r := range tc.Octants() {
+						for _, d := range dirs {
+							ti, ins, shift, ok := f.Conn.Canonicalize(tc.Tree, r.Neighbor(d))
+							if !ok {
+								continue
+							}
+							first, last := f.OwnersOfRegion(ti, ins)
+							for rank := first; rank <= last; rank++ {
+								if rank == me && ti == tc.Tree {
+									continue
+								}
+								want[coordQuery{dest: int32(rank), tree: ti, r: shift.Apply(r)}] = origin{tree: tc.Tree, shift: shift}
+							}
+						}
+					}
+				}
+				boundary, _ := f.queryBoundaryLeaves(me, 1, serialPar)
+				set := f.buildQueries(me, boundary)
+				if len(set.qs) != len(want) {
+					t.Errorf("%s P=%d rank %d: %d queries, classical enumeration has %d", topo.name, p, me, len(set.qs), len(want))
+					return
+				}
+				for i, q := range set.qs {
+					org, ok := want[coordQuery{dest: set.dest[i], tree: q.tree, r: q.r.Octant()}]
+					if !ok || org != set.org[i] {
+						t.Errorf("%s P=%d rank %d: query %v to rank %d tree %d (origin %+v) not in the classical set (origin %+v, present %v)",
+							topo.name, p, me, q.r, set.dest[i], q.tree, set.org[i], org, ok)
+						return
+					}
+				}
+				var peers []int
+				for rank := 0; rank < p; rank++ {
+					if lo, hi := set.run(rank); rank != me && lo < hi {
+						peers = append(peers, rank)
+					}
+				}
+				if !slices.Equal(set.peers(me), peers) {
+					t.Errorf("%s P=%d rank %d: peers %v, want %v", topo.name, p, me, set.peers(me), peers)
+				}
+			})
+		}
+	}
+}
+
+// TestRegroupHitsMatchesSort checks the counting-sort regroup against a
+// comparison sort on (query, leaf) for hit lists in traversal order —
+// ascending leaf index, several queries per leaf.
+func TestRegroupHitsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 200; trial++ {
+		nq := 1 + rng.Intn(40)
+		var hits []respHit
+		for li, leaves := 0, rng.Intn(300); li < leaves; li++ {
+			for qi := 0; qi < nq; qi++ {
+				if rng.Intn(8) == 0 {
+					hits = append(hits, respHit{qi: int32(qi), li: int32(li)})
+				}
+			}
+		}
+		sorted := slices.Clone(hits)
+		slices.SortFunc(sorted, func(a, b respHit) int {
+			if a.qi != b.qi {
+				return int(a.qi) - int(b.qi)
+			}
+			return int(a.li) - int(b.li)
+		})
+		lis, off := regroupHits(hits, nq)
+		if len(off) != nq+1 || off[0] != 0 || int(off[nq]) != len(hits) || len(lis) != len(hits) {
+			t.Fatalf("trial %d: %d hits regrouped into %d indices with offsets %v", trial, len(hits), len(lis), off)
+		}
+		for qi := 0; qi < nq; qi++ {
+			for i := off[qi]; i < off[qi+1]; i++ {
+				if (sorted[i] != respHit{qi: int32(qi), li: lis[i]}) {
+					t.Fatalf("trial %d: slot %d holds leaf %d of query %d, the sort has %+v", trial, i, lis[i], qi, sorted[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRespondQueriesWorkerInvariant checks the responder returns the same
+// responses, slot for slot, serially and over worker pools, under both
+// algorithms — and that the family skip of the new one actually engages.
+func TestRespondQueriesWorkerInvariant(t *testing.T) {
+	conn := NewBrick(3, 2, 2, 1, [3]bool{})
+	runForest(t, conn, 1, 1, func(c *comm.Comm, f *Forest) {
+		f.Refine(c, 5, fractalRefine(5))
+		boundary, _ := f.queryBoundaryLeaves(0, 1, serialPar)
+		set := f.buildQueries(0, boundary)
+		if len(set.qs) == 0 {
+			t.Fatal("no self queries on a four-tree forest")
+		}
+		for _, algo := range []Algo{AlgoNew, AlgoOld} {
+			var serial respondStats
+			want := f.respondQueries(set.qs, 3, algo, 1, serialPar, &serial)
+			if serial.hits == 0 || serial.families > serial.hits || (algo == AlgoNew) != (serial.families < serial.hits) {
+				t.Errorf("algo %v: %d hits, %d families", algo, serial.hits, serial.families)
+			}
+			for _, workers := range []int{0, 3, runtime.NumCPU()} {
+				n := (BalanceOptions{Workers: workers}).workerCount()
+				var st respondStats
+				got := f.respondQueries(set.qs, 3, algo, n, func(k int, task func(int)) { parallelFor(n, k, task) }, &st)
+				if st.hits != serial.hits || st.families != serial.families {
+					t.Errorf("algo %v workers %d: %d hits / %d families, serial %d / %d",
+						algo, workers, st.hits, st.families, serial.hits, serial.families)
+				}
+				for i := range want {
+					if !slices.Equal(got[i], want[i]) {
+						t.Fatalf("algo %v workers %d: response %d differs from the serial one", algo, workers, i)
+					}
+					if !linear.IsSortedKeys(got[i]) {
+						t.Fatalf("algo %v workers %d: response %d not in curve order", algo, workers, i)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestSpliceReplaceKeysNonLeafFallback drives the splice merge with a job
+// whose octant is not a current leaf (its children are): the in-place
+// replacement cannot place it, and the sort-and-linearize fallback must
+// still produce the finest cover.
+func TestSpliceReplaceKeysNonLeafFallback(t *testing.T) {
+	root := octant.KeyOf(octant.Root(2))
+	var leaves []octant.Key
+	for i := 0; i < 4; i++ {
+		if i == 1 {
+			for j := 0; j < 4; j++ {
+				leaves = append(leaves, root.Child(1).Child(j))
+			}
+			continue
+		}
+		leaves = append(leaves, root.Child(i))
+	}
+	split := func(k octant.Key) []octant.Key {
+		return []octant.Key{k.Child(0), k.Child(1), k.Child(2), k.Child(3)}
+	}
+	jobs := []rebalanceJob{
+		{rk: root.Child(0), sub: split(root.Child(0))}, // a leaf: replaced in place
+		{rk: root.Child(1), sub: split(root.Child(1))}, // not a leaf: already refined
+		{rk: root.Child(2)},                            // a leaf that need not split
+	}
+	got := spliceReplaceKeys(slices.Clone(leaves), jobs)
+	want := append(split(root.Child(0)), split(root.Child(1))...)
+	want = append(want, root.Child(2), root.Child(3))
+	if !slices.Equal(got, want) {
+		t.Fatalf("fallback merge produced %v, want %v", got, want)
+	}
+	// With only leaf jobs the in-place path must agree with the same merge.
+	if got := spliceReplaceKeys(slices.Clone(leaves), jobs[:1]); !slices.Equal(got, append(split(root.Child(0)), leaves[1:]...)) {
+		t.Fatalf("in-place splice produced %v", got)
+	}
+}
+
+// TestBalanceChildSpans pins the observability contract of phases 2-5: each
+// step is a child span directly under its phase span on every rank, the
+// funnel counters are recorded, and PhaseTimes still reports the phase
+// spans themselves (query-build folded into QueryResponse).
+func TestBalanceChildSpans(t *testing.T) {
+	conn := NewBrick(3, 2, 1, 1, [3]bool{})
+	const p = 2
+	tracer := obs.NewTracer(p)
+	w := comm.NewWorld(p)
+	w.SetTracer(tracer)
+	times := make([]PhaseTimes, p)
+	w.Run(func(c *comm.Comm) {
+		f := NewUniform(conn, c, 1)
+		f.Refine(c, 4, fractalRefine(4))
+		f.Partition(c, nil)
+		times[c.Rank()] = f.Balance(c, 3, BalanceOptions{})
+	})
+	w.Close()
+	parentOf := map[string]string{
+		obs.SpanQueryBuild:       "query",
+		obs.SpanQRSend:           "query-response",
+		obs.SpanQRRespondRemote:  "query-response",
+		obs.SpanQRRespondSelf:    "query-response",
+		obs.SpanQRRecvWait:       "query-response",
+		obs.SpanRebalanceGroup:   "rebalance",
+		obs.SpanRebalanceSubtree: "rebalance",
+		obs.SpanRebalanceSplice:  "rebalance",
+	}
+	for r := 0; r < p; r++ {
+		seen := make(map[string]bool)
+		var phase obs.SpanRecord
+		for _, s := range tracer.Spans(r) {
+			if s.Depth == 0 {
+				phase = s
+			}
+			want, ok := parentOf[s.Name]
+			if !ok {
+				continue
+			}
+			seen[s.Name] = true
+			if s.Depth != 1 || phase.Name != want || s.Start < phase.Start || s.End > phase.End {
+				t.Errorf("rank %d: span %s at depth %d inside %s, want directly under %s", r, s.Name, s.Depth, phase.Name, want)
+			}
+		}
+		for name := range parentOf {
+			if !seen[name] {
+				t.Errorf("rank %d: no %s span", r, name)
+			}
+		}
+		d := tracer.PhaseDurations(r)
+		if got := d["query"] + d["query-response"]; times[r].QueryResponse != got {
+			t.Errorf("rank %d: PhaseTimes.QueryResponse %v, phase spans sum to %v", r, times[r].QueryResponse, got)
+		}
+		if times[r].Rebalance != d["rebalance"] || times[r].LocalBalance != d["local-balance"] || times[r].Notify != d["notify"] {
+			t.Errorf("rank %d: PhaseTimes %+v is not the view over the phase spans %v", r, times[r], d)
+		}
+	}
+	queries := tracer.TotalCounter(obs.CounterBalanceQueries)
+	hits := tracer.TotalCounter(obs.CounterRespondHits)
+	families := tracer.TotalCounter(obs.CounterRespondFamilies)
+	if queries == 0 || hits == 0 || families == 0 || families >= hits {
+		t.Errorf("funnel counters: %d queries, %d hits, %d families", queries, hits, families)
+	}
+}

@@ -282,6 +282,18 @@ func (ot *ownerTable) ownersOfRegionKey(t int32, w octant.Key) (first, last int)
 		ot.ownerOfKey(t, w.LastDescendant(octant.MaxLevel))
 }
 
+// ownsRegionKey reports whether rank me alone owns the in-root region w of
+// tree t — ownersOfRegionKey(t, w) == (me, me) — by comparing the region's
+// extreme positions against the rank's own two partition markers, with no
+// search.
+func (ot *ownerTable) ownsRegionKey(me int, t int32, w octant.Key) bool {
+	lo, hi := ot.entries[me], ot.entries[me+1]
+	if t < lo.tree || (t == lo.tree && octant.KeyLess(w.FirstDescendant(octant.MaxLevel), lo.key)) {
+		return false
+	}
+	return t < hi.tree || (t == hi.tree && octant.KeyLess(w.LastDescendant(octant.MaxLevel), hi.key))
+}
+
 // OwnerOf returns the rank owning the given global position.
 func (f *Forest) OwnerOf(p Pos) int {
 	dim := f.Conn.dim

@@ -177,6 +177,34 @@ func TestOwnerOfConsistency(t *testing.T) {
 	}
 }
 
+// TestOwnsRegionKeyMatchesOwnerRange checks the search-free "mine alone"
+// test against the owner range of the same region, for every rank (some of
+// them empty) and regions from the whole tree down to single leaves.
+func TestOwnsRegionKeyMatchesOwnerRange(t *testing.T) {
+	const p = 16 // 12 leaves: four ranks own nothing
+	forests := runForest(t, NewBrick(2, 3, 1, 1, [3]bool{}), p, 1, nil)
+	ot := forests[0].ownerTable()
+	rng := rand.New(rand.NewSource(31))
+	owned := 0
+	for trial := 0; trial < 5000; trial++ {
+		tree := int32(rng.Intn(3))
+		w := octant.KeyOf(otest.RandomOctant(rng, 2, 0, 3))
+		first, last := ot.ownersOfRegionKey(tree, w)
+		for me := 0; me < p; me++ {
+			got, want := ot.ownsRegionKey(me, tree, w), first == me && last == me
+			if got != want {
+				t.Fatalf("tree %d region %v: ownsRegionKey(%d) = %v, owners are [%d, %d]", tree, w, me, got, first, last)
+			}
+			if got {
+				owned++
+			}
+		}
+	}
+	if owned == 0 {
+		t.Fatal("no sampled region had a single owner")
+	}
+}
+
 func TestRefineAndCoarsen(t *testing.T) {
 	conn := NewBrick(2, 2, 1, 1, [3]bool{})
 	forests := runForest(t, conn, 3, 1, func(c *comm.Comm, f *Forest) {

@@ -33,6 +33,29 @@ const (
 	GaugeLocalWorkers = "local/workers"
 )
 
+// Well-known names emitted inside the query, query-response and rebalance
+// phases of Forest.Balance.  The spans nest directly under the phase span of
+// their prefix ("qr/" under query-response) and split it into its steps:
+// building the query lists, sending them, answering peers and the rank's own
+// inter-tree queries, waiting for and decoding the responses, regrouping the
+// responses per local leaf, reconstructing the subtrees and splicing them
+// in.  The counters give the responder's funnel: queries issued, candidate
+// (query, leaf) hits, and the hits left after collapsing sibling families.
+const (
+	SpanQueryBuild       = "query/build"
+	SpanQRSend           = "qr/send"
+	SpanQRRespondRemote  = "qr/respond-remote"
+	SpanQRRespondSelf    = "qr/respond-self"
+	SpanQRRecvWait       = "qr/recv-wait"
+	SpanRebalanceGroup   = "rebalance/group"
+	SpanRebalanceSubtree = "rebalance/subtree"
+	SpanRebalanceSplice  = "rebalance/splice"
+
+	CounterBalanceQueries  = "balance/queries"
+	CounterRespondHits     = "balance/respond-hits"
+	CounterRespondFamilies = "balance/respond-families"
+)
+
 // Well-known names emitted by the crash-fault tolerance layer: the comm
 // rank lifecycle (kills, respawns) and the forest epoch runner
 // (checkpoints, rollback/replay).  SpanRollback brackets one coordinated

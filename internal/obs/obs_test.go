@@ -129,6 +129,17 @@ func TestNilTracerSafe(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		s := tr.Begin(5, "phase", "cat")
 		tr.Add(5, "msgs", 1)
+		// The balance phases open their step spans and bump their funnel
+		// counters unconditionally, nested under the phase span.
+		for _, name := range []string{
+			obs.SpanQueryBuild, obs.SpanQRSend, obs.SpanQRRespondRemote, obs.SpanQRRespondSelf,
+			obs.SpanQRRecvWait, obs.SpanRebalanceGroup, obs.SpanRebalanceSubtree, obs.SpanRebalanceSplice,
+		} {
+			tr.Begin(5, name, "balance").End()
+		}
+		tr.Add(5, obs.CounterBalanceQueries, 1)
+		tr.Add(5, obs.CounterRespondHits, 1)
+		tr.Add(5, obs.CounterRespondFamilies, 1)
 		s.End()
 	})
 	if allocs != 0 {

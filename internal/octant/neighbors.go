@@ -23,11 +23,31 @@ func (d Dir) Codim() int {
 
 // Directions returns all directions in dim dimensions whose codimension is
 // between 1 and maxCodim inclusive, i.e. the neighbor directions relevant
-// to maxCodim-balance.  The result is deterministic.
+// to maxCodim-balance.  The result is deterministic.  It is a shared
+// precomputed table: callers must treat it as read-only.
 func Directions(dim, maxCodim int) []Dir {
+	if dim != 2 && dim != 3 {
+		panic("octant: invalid dimension")
+	}
 	if maxCodim < 1 || maxCodim > dim {
 		panic("octant: invalid balance codimension")
 	}
+	return dirTable[dim][maxCodim]
+}
+
+// dirTable[dim][maxCodim] holds the direction sets of Directions, built
+// once: the hot callers (seed construction, coarse neighborhoods) ask for
+// the same few sets millions of times.
+var dirTable = func() (t [4][4][]Dir) {
+	for dim := 2; dim <= 3; dim++ {
+		for k := 1; k <= dim; k++ {
+			t[dim][k] = buildDirections(dim, k)
+		}
+	}
+	return t
+}()
+
+func buildDirections(dim, maxCodim int) []Dir {
 	var dirs []Dir
 	zmax := int8(0)
 	if dim == 3 {
@@ -44,7 +64,7 @@ func Directions(dim, maxCodim int) []Dir {
 			}
 		}
 	}
-	return dirs
+	return dirs[:len(dirs):len(dirs)] // an append by a caller must copy, not grow the table
 }
 
 // Neighbor returns the octant of o's size adjacent to o in direction d.
