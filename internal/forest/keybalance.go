@@ -1,17 +1,21 @@
 package forest
 
 import (
+	"slices"
+
 	"repro/internal/balance"
 	"repro/internal/octant"
 )
 
-// This file is the key-resident Local balance path — the default since the
-// chunk representation itself became packed Morton keys.  The whole
-// subtree balance — Reduce, neighborhood closure, sort, completion, range
-// clipping — runs on the resident keys with no conversion at either end.
-// BalanceOptions.StructLocal selects the legacy octant-struct pipeline
-// instead, which survives as the differential oracle: the harness checksum
-// sweep and the forest differential tests pin the two bit-identical.
+// This file is the key-resident Local balance path, the default: a chunk's
+// resident keys go through balance.SubtreeNewKeys (Reduce, closure over the
+// distinct sibling families of each coarse neighborhood on one flat key
+// set, sort, completion allocated at its exact size) and come back clipped
+// to the chunk's curve range by two binary searches, with no conversion at
+// either end.  BalanceOptions.StructLocal selects the octant-struct
+// pipeline instead, which survives as the differential oracle: the harness
+// checksum sweep and the forest differential tests pin the two
+// bit-identical.
 
 // localBalanceChunkKeys is localBalanceChunk on the resident packed keys,
 // for the paper's new algorithm.
@@ -25,18 +29,25 @@ func localBalanceChunkKeys(leaves []octant.Key, k int) []octant.Key {
 }
 
 // clipToRangeKeys keeps the keys lying within the curve range spanned by
-// the original first and last leaves.
+// the original first and last leaves.  keys is a sorted linear octree, so
+// first and last descendants both increase along it and the kept keys are
+// one contiguous run, found by two binary searches.
 func clipToRangeKeys(keys []octant.Key, first, last octant.Key) []octant.Key {
 	fd := first.FirstDescendant(octant.MaxLevel)
 	ld := last.LastDescendant(octant.MaxLevel)
-	out := keys[:0]
-	for _, o := range keys {
-		if octant.KeyCompare(o.FirstDescendant(octant.MaxLevel), fd) >= 0 &&
-			octant.KeyCompare(o.LastDescendant(octant.MaxLevel), ld) <= 0 {
-			out = append(out, o)
-		}
+	lo, _ := slices.BinarySearchFunc(keys, fd, func(o, t octant.Key) int {
+		return octant.KeyCompare(o.FirstDescendant(octant.MaxLevel), t)
+	})
+	hi, found := slices.BinarySearchFunc(keys, ld, func(o, t octant.Key) int {
+		return octant.KeyCompare(o.LastDescendant(octant.MaxLevel), t)
+	})
+	if found {
+		hi++
 	}
-	return out
+	if hi < lo {
+		return keys[:0]
+	}
+	return keys[lo:hi]
 }
 
 // BalanceChunksKeys is BalanceChunks routed through the key-resident Local

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/octant"
+	"repro/internal/otest"
 )
 
 // runSmallBalance executes a small multi-rank balance and returns each
@@ -102,6 +103,35 @@ func TestBalanceChunksKeysMatchesStruct(t *testing.T) {
 					if a[i][j] != b[i][j].Octant() {
 						t.Fatalf("dim %d chunk %d leaf %d: %v != %v", dim, i, j, a[i][j], b[i][j].Octant())
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestClipToRangeKeysMatchesFilter pins the two binary searches of
+// clipToRangeKeys to the per-octant filter of the struct path (clipToRange)
+// on random complete trees and random (first, last) leaf pairs taken from a
+// second, differently refined tree of the same root — so the range ends
+// fall on, inside and around the leaves being clipped.
+func TestClipToRangeKeysMatchesFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	for _, dim := range []int{2, 3} {
+		for _, root := range []octant.Octant{octant.Root(dim), octant.Root(dim).Child(2).Child(1)} {
+			for trial := 0; trial < 200; trial++ {
+				tree := otest.RandomComplete(rng, root, int(root.Level)+4, 0.7)
+				ends := otest.RandomComplete(rng, root, int(root.Level)+5, 0.7)
+				i, j := rng.Intn(len(ends)), rng.Intn(len(ends))
+				if i > j {
+					i, j = j, i
+				}
+				first, last := ends[i], ends[j]
+
+				want := clipToRange(append([]octant.Octant(nil), tree...), first, last)
+				got := clipToRangeKeys(octant.AppendKeys(nil, tree), octant.KeyOf(first), octant.KeyOf(last))
+				if !otest.Equal(octant.AppendOctants(nil, got), want) {
+					t.Fatalf("dim %d root %v trial %d: range [%v, %v] of %d leaves: got %d keys, filter keeps %d",
+						dim, root, trial, first, last, len(tree), len(got), len(want))
 				}
 			}
 		}

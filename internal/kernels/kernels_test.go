@@ -1,6 +1,11 @@
 package kernels
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/balance"
+	"repro/internal/octant"
+)
 
 // TestCannedInputs checks the canned fractal chunk and derived benchmark
 // inputs satisfy the assumptions documented in Verify.
@@ -40,5 +45,19 @@ func TestKernelsRun(t *testing.T) {
 func BenchmarkKernels(b *testing.B) {
 	for _, k := range List() {
 		b.Run(k.Name, k.Fn)
+	}
+}
+
+// TestSubtreeNewKeysAllocsBounded bounds the allocations of the key-native
+// subtree balance on the canned chunk: seven fixed ones (reduced input and
+// its flags, the two arrays of the key set, worklist, merged set,
+// completion) plus two per doubling of the key set, whatever the number of
+// octants.  The hash maps this replaced allocated 22 times on this input.
+func TestSubtreeNewKeysAllocsBounded(t *testing.T) {
+	keys := cannedKeys()
+	root := octant.KeyOf(octant.Root(cannedDim))
+	allocs := testing.AllocsPerRun(10, func() { balance.SubtreeNewKeys(root, keys, cannedK) })
+	if allocs > 11 {
+		t.Fatalf("SubtreeNewKeys on the canned chunk: %v allocations, want at most 11", allocs)
 	}
 }

@@ -116,9 +116,28 @@ func DescendantRangeKeys(keys []octant.Key, q octant.Key) (lo, hi int) {
 // CompleteKeys fills the gaps of the sorted linear slice keys with the
 // coarsest possible octants so that the result is a complete linear
 // octree of root.  Every element must be a descendant-or-equal of root.
+// The result is allocated once, at its exact length.
 func CompleteKeys(root octant.Key, keys []octant.Key) []octant.Key {
-	out := make([]octant.Key, 0, len(keys)*2)
+	out := make([]octant.Key, 0, completionLen(root, keys))
 	return appendCompletionKeys(out, root, keys)
+}
+
+// completionLen returns the number of leaves of the completion of keys in
+// root.  A complete tree with I interior nodes has 1 + (2^d-1)*I leaves,
+// and the interior nodes are the proper ancestors of the keys inside root:
+// each key adds those strictly below its nearest common ancestor with its
+// predecessor, which the predecessor already counted; the first key adds
+// them all, root included.
+func completionLen(root octant.Key, keys []octant.Key) int {
+	interior := 0
+	for i, k := range keys {
+		counted := root.Level() - 1
+		if i > 0 {
+			counted = octant.NearestCommonAncestorKeys(keys[i-1], k).Level()
+		}
+		interior += int(k.Level()-counted) - 1
+	}
+	return 1 + (octant.NumChildren(int(root.Dim()))-1)*interior
 }
 
 func appendCompletionKeys(out []octant.Key, w octant.Key, sub []octant.Key) []octant.Key {

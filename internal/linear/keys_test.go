@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/octant"
+	"repro/internal/otest"
 )
 
 // randomLeafSet builds a sorted linear octree fragment by refining random
@@ -134,6 +135,43 @@ func TestKeysMirrorDifferential(t *testing.T) {
 			u := Union(leaves[:half], leaves[half/2:])
 			uKeys := UnionKeys(keys[:half], keys[half/2:])
 			keysEqualOctants(t, "UnionKeys", uKeys, u)
+		}
+	}
+}
+
+// TestCompleteKeysExactAllocation pins the capacity computation: whatever
+// the input, the completion is allocated once and filled to the brim.
+func TestCompleteKeysExactAllocation(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	check := func(root octant.Key, keys []octant.Key) {
+		t.Helper()
+		var out []octant.Key
+		allocs := testing.AllocsPerRun(5, func() { out = CompleteKeys(root, keys) })
+		if allocs != 1 || cap(out) != len(out) {
+			t.Fatalf("CompleteKeys(%v, %d keys): %v allocations, len %d cap %d; want 1 allocation, cap == len",
+				root, len(keys), allocs, len(out), cap(out))
+		}
+		if want := Complete(root.Octant(), octant.AppendOctants(nil, keys)); len(out) != len(want) {
+			t.Fatalf("CompleteKeys(%v, %d keys): %d leaves, Complete has %d", root, len(keys), len(out), len(want))
+		}
+	}
+	for _, dim := range []int{2, 3} {
+		top := octant.Root(dim)
+		for _, root := range []octant.Octant{top, top.Child(1).Child(2)} {
+			rk := octant.KeyOf(root)
+			check(rk, nil)
+			check(rk, []octant.Key{rk})
+			check(rk, []octant.Key{rk.LastDescendant(octant.MaxLevel)})
+			for trial := 0; trial < 20; trial++ {
+				complete := otest.RandomComplete(rng, root, int(root.Level)+5, 0.6)
+				sub := otest.RandomSubset(rng, complete, 0.1+0.8*rng.Float64())
+				check(rk, octant.AppendKeys(nil, sub))
+				// The reduced set SubtreeNewKeys completes: 0-siblings only
+				// (of root itself the 0-sibling lies outside root).
+				if sub[0] != root {
+					check(rk, LinearizeKeys(ReduceKeys(octant.AppendKeys(nil, sub))))
+				}
+			}
 		}
 	}
 }

@@ -24,7 +24,8 @@ package octant
 // so that lexicographic (Hi, Lo) comparison is exactly the ancestors-first
 // Morton order: the most significant differing interleave bit decides, and
 // octants sharing a lower corner tie-break on the level byte (coarser
-// first).  Lo bits 16..31 (3D) / 16..63 (2D) are reserved zero.
+// first).  Lo bits 16..31 (3D) / 16..63 (2D) are reserved zero.  The zero
+// Key has dimension 0 and is therefore the key of no octant.
 type Key struct {
 	Hi, Lo uint64
 }

@@ -249,15 +249,15 @@ func TestKeySuccessorPanicsPastEnd(t *testing.T) {
 
 func TestKeyFromBitsRejectsMalformed(t *testing.T) {
 	cases := []struct{ hi, lo uint64 }{
-		{0, 0},                        // dim 0
-		{0, 5 << 8},                   // dim 5
-		{0, 2<<8 | 31},                // level 31
-		{0, 2<<8 | 0xff},              // negative level byte
-		{0, 2<<8 | 1<<16 | 3},         // reserved bits set (2D)
-		{0, 3<<8 | 1<<20 | 3},         // reserved bits set (3D)
-		{1, 2<<8 | 0},                 // unaligned: interleave bit below the grid
-		{0, 3<<8 | 1<<32 | 2},         // unaligned 3D low word
-		{1, 3<<8 | 0},                 // unaligned 3D high word at level 0
+		{0, 0},                // dim 0: the zero Key, which hash sets of keys use as their empty slot
+		{0, 5 << 8},           // dim 5
+		{0, 2<<8 | 31},        // level 31
+		{0, 2<<8 | 0xff},      // negative level byte
+		{0, 2<<8 | 1<<16 | 3}, // reserved bits set (2D)
+		{0, 3<<8 | 1<<20 | 3}, // reserved bits set (3D)
+		{1, 2<<8 | 0},         // unaligned: interleave bit below the grid
+		{0, 3<<8 | 1<<32 | 2}, // unaligned 3D low word
+		{1, 3<<8 | 0},         // unaligned 3D high word at level 0
 	}
 	for _, c := range cases {
 		if _, ok := KeyFromBits(c.hi, c.lo); ok {
