@@ -32,23 +32,22 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bench: ")
 	var (
-		dim       = flag.Int("dim", 3, "dimension (2 or 3)")
-		ranks     = flag.Int("ranks", 8, "number of simulated ranks")
-		level     = flag.Int("level", 2, "base uniform refinement level")
-		depth     = flag.Int("depth", 4, "additional adaptive refinement depth")
-		k         = flag.Int("k", 0, "balance condition 1..dim (0 = full corner balance)")
-		workloadF = flag.String("workload", "fractal", "workload: fractal, icesheet, random")
-		algoF     = flag.String("algo", "new", "algorithm: old, new, both")
-		notifyF   = flag.String("notify", "notify", "pattern reversal: naive, ranges, notify")
-		grid      = flag.Int("grid", 8, "ice sheet tree grid extent")
-		seed      = flag.Int64("seed", 42, "random workload seed")
-		prob      = flag.Int("prob", 22, "random workload split probability (percent)")
-		out       = flag.String("out", "", "output record path (default BENCH_<workload>.json)")
-		traceOut  = flag.String("trace", "", "also export a Chrome trace-event file to this path")
-		kernelsF  = flag.Bool("kernels", true, "run the hot-kernel micro-benchmarks")
-		netKernF  = flag.Bool("net-kernels", false, "also run the socket-transport loopback kernels (Net*)")
+		dim        = flag.Int("dim", 3, "dimension (2 or 3)")
+		ranks      = flag.Int("ranks", 8, "number of simulated ranks")
+		level      = flag.Int("level", 2, "base uniform refinement level")
+		depth      = flag.Int("depth", 4, "additional adaptive refinement depth")
+		k          = flag.Int("k", 0, "balance condition 1..dim (0 = full corner balance)")
+		workloadF  = flag.String("workload", "fractal", "workload: fractal, icesheet, random")
+		algoF      = flag.String("algo", "new", "algorithm: old, new, both")
+		notifyF    = flag.String("notify", "notify", "pattern reversal: naive, ranges, notify")
+		grid       = flag.Int("grid", 8, "ice sheet tree grid extent")
+		seed       = flag.Int64("seed", 42, "random workload seed")
+		prob       = flag.Int("prob", 22, "random workload split probability (percent)")
+		out        = flag.String("out", "", "output record path (default BENCH_<workload>.json)")
+		traceOut   = flag.String("trace", "", "also export a Chrome trace-event file to this path")
+		kernelsF   = flag.Bool("kernels", true, "run the hot-kernel micro-benchmarks")
+		netKernF   = flag.Bool("net-kernels", false, "also run the socket-transport loopback kernels (Net*)")
 		workersF   = flag.Int("workers", 0, "rank-local worker pool size; > 1 records a serial AND a parallel run per algorithm")
-		keyResF    = flag.Bool("key-resident", false, "A/B the chunk representation: record every run twice, resident packed keys (default pipeline) vs the struct-resident oracle")
 		codecF     = flag.String("codec", "v0", "wire codec: v0, v1, both (both records a run per codec)")
 		poolF      = flag.Bool("pool", true, "recycle payload buffers through the comm pool")
 		validateF  = flag.String("validate", "", "validate an existing record and exit")
@@ -175,73 +174,52 @@ func main() {
 	if *workersF > 1 {
 		workerCounts = append(workerCounts, *workersF)
 	}
-	// With -key-resident every configuration runs twice — on the resident
-	// packed-key chunks (the default), then with the struct-resident oracle
-	// pipeline pinned — so the record carries its own representation A/B
-	// (the forest must be bit-identical either way; only the times differ).
-	structLocals := []bool{false}
-	if *keyResF {
-		structLocals = append(structLocals, true)
-	}
-	reprLabel := func(structLocal bool) string {
-		if structLocal {
-			return "structs"
-		}
-		return "keys"
-	}
 	tbl := stats.NewTable("one-pass 2:1 balance (cross-rank max, seconds)",
-		"algo", "wk", "codec", "repr", "octants before", "octants after", "total", "local bal", "notify",
+		"algo", "wk", "codec", "octants before", "octants after", "total", "local bal", "notify",
 		"query/resp", "rebalance", "imbalance", "msgs", "bytes", "raw bytes", "ratio")
 	for _, algo := range algos {
 		for _, wk := range workerCounts {
 			for _, codec := range codecs {
-				for _, structLocal := range structLocals {
-					e := base
-					e.Options = octbalance.BalanceOptions{Algo: algo, Notify: scheme, Workers: wk, Codec: codec, StructLocal: structLocal}
-					e.Tracer = octbalance.NewTracer(e.Ranks)
-					res := e.Run()
-					run := res.BenchRun()
-					run.Repr = reprLabel(structLocal)
-					rec.Runs = append(rec.Runs, run)
-					msgs, bytes := res.CommTotals()
-					raw := res.RawTotal()
-					// Compression ratio over the codec-metered phases only, so
-					// unmetered collective traffic does not dilute it.
-					var metered int64
-					for phase, st := range res.Comm {
-						if !strings.HasPrefix(phase, "obs/") && st.RawBytes > 0 {
-							metered += st.Bytes
-						}
+				e := base
+				e.Options = octbalance.BalanceOptions{Algo: algo, Notify: scheme, Workers: wk, Codec: codec}
+				e.Tracer = octbalance.NewTracer(e.Ranks)
+				res := e.Run()
+				rec.Runs = append(rec.Runs, res.BenchRun())
+				msgs, bytes := res.CommTotals()
+				raw := res.RawTotal()
+				// Compression ratio over the codec-metered phases only, so
+				// unmetered collective traffic does not dilute it.
+				var metered int64
+				for phase, st := range res.Comm {
+					if !strings.HasPrefix(phase, "obs/") && st.RawBytes > 0 {
+						metered += st.Bytes
 					}
-					ratio := "-"
-					if metered > 0 {
-						ratio = fmt.Sprintf("%.2fx", float64(raw)/float64(metered))
+				}
+				ratio := "-"
+				if metered > 0 {
+					ratio = fmt.Sprintf("%.2fx", float64(raw)/float64(metered))
+				}
+				total := res.PhaseAgg[octbalance.PhaseTotal]
+				tbl.AddRow(algo, wk, codec, res.OctantsBefore, res.OctantsAfter,
+					total.Max,
+					res.PhaseAgg["local-balance"].Max, res.PhaseAgg["notify"].Max,
+					res.PhaseAgg["query-response"].Max, res.PhaseAgg["rebalance"].Max,
+					total.Imbalance, msgs, bytes, raw, ratio)
+				if *traceOut != "" {
+					path := *traceOut
+					if len(algos) > 1 {
+						path = insertSuffix(path, "_"+algo.String())
 					}
-					total := res.PhaseAgg[octbalance.PhaseTotal]
-					tbl.AddRow(algo, wk, codec, run.Repr, res.OctantsBefore, res.OctantsAfter,
-						total.Max,
-						res.PhaseAgg["local-balance"].Max, res.PhaseAgg["notify"].Max,
-						res.PhaseAgg["query-response"].Max, res.PhaseAgg["rebalance"].Max,
-						total.Imbalance, msgs, bytes, raw, ratio)
-					if *traceOut != "" {
-						path := *traceOut
-						if len(algos) > 1 {
-							path = insertSuffix(path, "_"+algo.String())
-						}
-						if len(workerCounts) > 1 {
-							path = insertSuffix(path, fmt.Sprintf("_wk%d", wk))
-						}
-						if len(codecs) > 1 {
-							path = insertSuffix(path, "_"+codec.String())
-						}
-						if len(structLocals) > 1 {
-							path = insertSuffix(path, "_"+run.Repr)
-						}
-						if err := e.Tracer.WriteTraceFile(path); err != nil {
-							log.Fatal(err)
-						}
-						fmt.Printf("trace (%s, %d workers, %s, %s): %s\n", algo, wk, codec, run.Repr, path)
+					if len(workerCounts) > 1 {
+						path = insertSuffix(path, fmt.Sprintf("_wk%d", wk))
 					}
+					if len(codecs) > 1 {
+						path = insertSuffix(path, "_"+codec.String())
+					}
+					if err := e.Tracer.WriteTraceFile(path); err != nil {
+						log.Fatal(err)
+					}
+					fmt.Printf("trace (%s, %d workers, %s): %s\n", algo, wk, codec, path)
 				}
 			}
 		}

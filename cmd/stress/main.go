@@ -79,7 +79,6 @@ func main() {
 		shrinkBud = flag.Int("shrink", 80, "run budget for shrinking a failing scenario")
 		workersF  = flag.Int("workers", -1, "pin the rank-local worker pool size for every scenario (-1 = scenario-chosen)")
 		codecF    = flag.String("codec", "", "pin the wire codec for every scenario: v0 or v1 (default scenario-chosen)")
-		keyNatF   = flag.String("key-native", "", "pin the chunk representation for every scenario: on = resident packed keys (default pipeline), off = struct-resident oracle (default scenario-chosen)")
 		verbose   = flag.Bool("v", false, "print every scenario as it runs")
 
 		// Multi-process mode (net.go): run one pinned scenario as a world
@@ -110,20 +109,12 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	switch *keyNatF {
-	case "", "on", "off":
-	default:
-		log.Fatalf("bad -key-native %q: want on or off", *keyNatF)
-	}
 	pin := func(sc harness.Scenario) harness.Scenario {
 		if *workersF >= 0 {
 			sc.Workers = *workersF
 		}
 		if *codecF != "" {
 			sc.Codec = pinCodec
-		}
-		if *keyNatF != "" {
-			sc.KeyNative = *keyNatF == "on"
 		}
 		return sc.Normalized()
 	}
@@ -133,9 +124,6 @@ func main() {
 	}
 	if *codecF != "" {
 		pinFlag += fmt.Sprintf(" -codec %v", pinCodec)
-	}
-	if *keyNatF != "" {
-		pinFlag += " -key-native " + *keyNatF
 	}
 
 	if *transport != "inproc" {

@@ -9,7 +9,7 @@ import (
 	"repro/internal/otest"
 )
 
-// checkKeysMatch pins the key-native subtree balance bit-for-bit against
+// checkKeysMatch pins the packed-key subtree balance bit-for-bit against
 // the struct path on the same input.
 func checkKeysMatch(t *testing.T, root octant.Octant, in []octant.Octant, k int) {
 	t.Helper()

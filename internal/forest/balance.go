@@ -107,15 +107,6 @@ type BalanceOptions struct {
 	// responses, and the notify pattern).  The balanced forest is
 	// bit-identical under every codec; only the byte volume changes.
 	Codec WireCodec
-	// StructLocal routes the Local balance (phase 1) through the legacy
-	// octant-struct pipeline: the resident key chunks are materialized as
-	// coordinate structs, balanced there, and packed back.  The zero value
-	// runs the key-resident path — the chunk representation itself — with
-	// no conversion at all.  The struct pipeline survives as the
-	// differential oracle (harness, stress -key-native off); the old Local
-	// stage (AlgoOld) always takes it.  The balanced forest is
-	// bit-identical either way.
-	StructLocal bool
 }
 
 // PhaseTimes records wall-clock durations of the one-pass balance phases as
@@ -330,14 +321,12 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	// they go to the pool as-is; a chunk is never subdivided further
 	// because balance interactions couple everything inside it.
 	ps := beginPhase(c, "local-balance")
-	structLocal := opt.StructLocal || localAlgo != AlgoNew
 	runParallel(len(f.Local), func(i int) {
 		tc := &f.Local[i]
-		if structLocal {
-			octs := localBalanceChunk(root, tc.Octants(), k, localAlgo)
-			tc.Leaves = octant.AppendKeys(tc.Leaves[:0], octs)
-		} else {
+		if localAlgo == AlgoNew {
 			tc.Leaves = localBalanceChunkKeys(tc.Leaves, k)
+		} else {
+			tc.Leaves = octant.AppendKeys(tc.Leaves[:0], localBalanceChunk(tc.Octants(), k))
 		}
 	})
 	times.LocalBalance = ps.end()
@@ -507,21 +496,16 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	return times
 }
 
-// localBalanceChunk balances one rank's contiguous leaf range of a tree:
-// the subtree spanned by the range is balanced and the result clipped back
-// to the range (Section III).
-func localBalanceChunk(root octant.Octant, leaves []octant.Octant, k int, algo Algo) []octant.Octant {
+// localBalanceChunk balances one rank's contiguous leaf range of a tree
+// with the old algorithm: the subtree spanned by the range is balanced and
+// the result clipped back to the range (Section III).  The new algorithm
+// runs on the resident keys instead (localBalanceChunkKeys).
+func localBalanceChunk(leaves []octant.Octant, k int) []octant.Octant {
 	if len(leaves) <= 1 {
 		return leaves
 	}
 	sub := octant.NearestCommonAncestor(leaves[0], leaves[len(leaves)-1])
-	var bal []octant.Octant
-	if algo == AlgoNew {
-		bal = balance.SubtreeNew(sub, leaves, k)
-	} else {
-		bal = balance.SubtreeOld(sub, leaves, k)
-	}
-	return clipToRange(bal, leaves[0], leaves[len(leaves)-1])
+	return clipToRange(balance.SubtreeOld(sub, leaves, k), leaves[0], leaves[len(leaves)-1])
 }
 
 // clipToRange keeps the octants lying within the curve range spanned by the
@@ -627,7 +611,7 @@ func (s Shift) applyKey(k octant.Key) octant.Key {
 // w and the insulation grid are packed: the cell fan comes from the batch
 // neighbor kernel (octant.KeyNeighbors into buf, len(dirs) entries), and
 // cells still inside the root — for which Canonicalize is the identity —
-// take the key-native owner lookup without ever materializing coordinates.
+// take the packed-key owner lookup without ever materializing coordinates.
 // Only cells crossing the root boundary unpack for the connectivity map.
 func (f *Forest) queryPrunable(ot *ownerTable, dirs []octant.Dir, buf []octant.Key, t int32, w octant.Key, me int) bool {
 	if !ot.ownsRegionKey(me, t, w) {

@@ -100,7 +100,7 @@ func TestQuerySetMatchesCoordinateDedup(t *testing.T) {
 	}
 }
 
-// TestBuildQueriesMatchesClassical compares the key-native query build —
+// TestBuildQueriesMatchesClassical compares the packed-key query build —
 // in-root cells never unpacked, per-leaf target dedup — against the
 // classical enumeration: every insulation cell canonicalized on coordinates
 // and every owner of its region asked.

@@ -62,7 +62,7 @@ func (tc *TreeChunk) Octants() []octant.Octant {
 	return octant.AppendOctants(make([]octant.Octant, 0, len(tc.Leaves)), tc.Leaves)
 }
 
-// NewTreeChunk packs a sorted octant slice into a key-resident chunk — the
+// NewTreeChunk packs a sorted octant slice into a packed-key chunk — the
 // inverse conversion edge of Octants.
 func NewTreeChunk(tree int32, leaves []octant.Octant) TreeChunk {
 	return TreeChunk{Tree: tree, Leaves: octant.AppendKeys(make([]octant.Key, 0, len(leaves)), leaves)}
@@ -101,7 +101,7 @@ type Forest struct {
 	// bit-identical at every worker count.
 	Workers int
 
-	// otab caches the key-native owner table derived from GFP; otabSrc and
+	// otab caches the packed-key owner table derived from GFP; otabSrc and
 	// otabLen detect wholesale GFP replacement (GFP is never mutated in
 	// place).  See ownerTable.
 	otab    *ownerTable
@@ -131,7 +131,7 @@ func NewUniform(conn *Connectivity, c *comm.Comm, level int) *Forest {
 		if remaining := hi - g; first+remaining < last {
 			last = first + remaining
 		}
-		// One unpacked Morton-index seed, then a key-native successor run:
+		// One unpacked Morton-index seed, then a packed-key successor run:
 		// the carry add on the hoisted interleave generates the whole
 		// uniform streak without touching coordinates again.
 		firstKey := octant.KeyOf(octant.FromMortonIndex(conn.dim, level, uint64(first)))
@@ -220,7 +220,7 @@ type ownerEntry struct {
 	key  octant.Key
 }
 
-// ownerTable is the key-native view of GFP.  KeyCompare agrees in sign
+// ownerTable is the packed-key view of GFP.  KeyCompare agrees in sign
 // with octant.Compare on MaxLevel anchors (the PR 9 invariant, pinned by
 // the octant tests), so every lookup answers exactly as the Pos-based
 // OwnerOf.
@@ -228,7 +228,7 @@ type ownerTable struct {
 	entries []ownerEntry
 }
 
-// rebuildOwnerTable derives the key-native owner table from GFP.  Called
+// rebuildOwnerTable derives the packed-key owner table from GFP.  Called
 // whenever the forest itself replaces GFP; ownerTable() rebuilds lazily
 // for forests whose GFP was assigned directly (clones, restored
 // snapshots, test literals).
@@ -246,7 +246,7 @@ func (f *Forest) rebuildOwnerTable() {
 	}
 }
 
-// ownerTable returns the key-native owner table for the current GFP,
+// ownerTable returns the packed-key owner table for the current GFP,
 // rebuilding it if GFP was replaced wholesale since the last build.  NOT
 // goroutine-safe: collective entry points call it once before fanning out
 // over the worker pool, and workers only read the returned table.

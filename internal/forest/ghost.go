@@ -72,7 +72,7 @@ func compareGhostSends(a, b GhostSend) int {
 //
 // Like queryPrunable, the node and its insulation grid stay packed: the
 // cell fan is the batch neighbor kernel and in-root cells (Canonicalize is
-// the identity there) take the key-native owner lookup directly.
+// the identity there) take the packed-key owner lookup directly.
 func (f *Forest) ghostPrunable(ot *ownerTable, dirs []octant.Dir, buf []octant.Key, t int32, w octant.Key, me int) bool {
 	if first, last := ot.ownersOfRegionKey(t, w); first != me || last != me {
 		return false

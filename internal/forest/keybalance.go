@@ -7,18 +7,16 @@ import (
 	"repro/internal/octant"
 )
 
-// This file is the key-resident Local balance path, the default: a chunk's
-// resident keys go through balance.SubtreeNewKeys (Reduce, closure over the
-// distinct sibling families of each coarse neighborhood on one flat key
-// set, sort, completion allocated at its exact size) and come back clipped
-// to the chunk's curve range by two binary searches, with no conversion at
-// either end.  BalanceOptions.StructLocal selects the octant-struct
-// pipeline instead, which survives as the differential oracle: the harness
-// checksum sweep and the forest differential tests pin the two
-// bit-identical.
+// This file is the Local balance (phase 1) of the paper's new algorithm: a
+// chunk's resident keys go through balance.SubtreeNewKeys (Reduce, closure
+// over the distinct sibling families of each coarse neighborhood on one
+// flat key set, sort, completion allocated at its exact size) and come back
+// clipped to the chunk's curve range by two binary searches, with no
+// conversion at either end.
 
-// localBalanceChunkKeys is localBalanceChunk on the resident packed keys,
-// for the paper's new algorithm.
+// localBalanceChunkKeys balances one rank's contiguous leaf range of a
+// tree: the subtree spanned by the range is balanced and the result clipped
+// back to the range (Section III).
 func localBalanceChunkKeys(leaves []octant.Key, k int) []octant.Key {
 	if len(leaves) <= 1 {
 		return leaves
@@ -50,9 +48,10 @@ func clipToRangeKeys(keys []octant.Key, first, last octant.Key) []octant.Key {
 	return keys[lo:hi]
 }
 
-// BalanceChunksKeys is BalanceChunks routed through the key-resident Local
-// balance (the paper's new algorithm only).  Exported for the kernel
-// micro-benchmarks; Balance without StructLocal runs the same code path.
+// BalanceChunksKeys applies localBalanceChunkKeys to independent leaf
+// ranges with the given worker count, replacing each chunks[i] by its
+// balanced, range-clipped form.  Exported for the kernel micro-benchmarks;
+// phase 1 of Balance runs the same per-chunk code over its local chunks.
 func BalanceChunksKeys(chunks [][]octant.Key, k, workers int) {
 	parallelFor(workers, len(chunks), func(i int) {
 		chunks[i] = localBalanceChunkKeys(chunks[i], k)

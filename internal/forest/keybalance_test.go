@@ -5,52 +5,30 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/balance"
 	"repro/internal/comm"
 	"repro/internal/octant"
 	"repro/internal/otest"
 )
 
-// runSmallBalance executes a small multi-rank balance and returns each
-// rank's final chunks.
-func runSmallBalance(t *testing.T, opt BalanceOptions) [][]TreeChunk {
-	t.Helper()
+// TestKeyLocalBalanceBitIdentical pins the balanced forest, serial and
+// pooled, leaf for leaf to the serial oracle (RefBalance) of the gathered
+// input.
+func TestKeyLocalBalanceBitIdentical(t *testing.T) {
 	conn := NewBrick(3, 2, 1, 1, [3]bool{})
-	const p = 3
-	out := make([][]TreeChunk, p)
-	w := comm.NewWorld(p)
-	defer w.Close()
-	w.Run(func(c *comm.Comm) {
-		f := NewUniform(conn, c, 1)
+	const p, k = 3, 3
+	build := func(c *comm.Comm, f *Forest) {
 		f.Refine(c, 4, fractalRefine(4))
 		f.Partition(c, nil)
-		f.Balance(c, 3, opt)
-		out[c.Rank()] = f.Local
-	})
-	return out
-}
-
-// TestKeyLocalBalanceBitIdentical pins the default key-resident path to
-// the struct oracle pipeline chunk-for-chunk, serial and pooled.
-func TestKeyLocalBalanceBitIdentical(t *testing.T) {
+	}
+	want := RefBalance(conn, gather(conn, runForest(t, conn, p, 1, build)), k)
 	for _, workers := range []int{0, 3} {
-		want := runSmallBalance(t, BalanceOptions{Workers: workers, StructLocal: true})
-		got := runSmallBalance(t, BalanceOptions{Workers: workers})
-		for r := range want {
-			if len(got[r]) != len(want[r]) {
-				t.Fatalf("workers %d rank %d: %d chunks vs %d", workers, r, len(got[r]), len(want[r]))
-			}
-			for ci := range want[r] {
-				g, w := got[r][ci], want[r][ci]
-				if g.Tree != w.Tree || len(g.Leaves) != len(w.Leaves) {
-					t.Fatalf("workers %d rank %d chunk %d: shape mismatch", workers, r, ci)
-				}
-				for i := range w.Leaves {
-					if g.Leaves[i] != w.Leaves[i] {
-						t.Fatalf("workers %d rank %d chunk %d leaf %d: %v != %v",
-							workers, r, ci, i, g.Leaves[i], w.Leaves[i])
-					}
-				}
-			}
+		got := gather(conn, runForest(t, conn, p, 1, func(c *comm.Comm, f *Forest) {
+			build(c, f)
+			f.Balance(c, k, BalanceOptions{Workers: workers})
+		}))
+		if !forestsEqual(got, want) {
+			t.Fatalf("workers %d: balanced forest differs from RefBalance of the input", workers)
 		}
 	}
 }
@@ -84,6 +62,9 @@ func randomChunks(rng *rand.Rand, dim, depth, chunks int) [][]octant.Octant {
 	return out
 }
 
+// TestBalanceChunksKeysMatchesStruct pins the key Local balance chunk for
+// chunk to the struct oracle built inline: balance.SubtreeNew on the
+// chunk's nearest common ancestor, clipped by the per-octant filter.
 func TestBalanceChunksKeysMatchesStruct(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, dim := range []int{2, 3} {
@@ -93,16 +74,16 @@ func TestBalanceChunksKeysMatchesStruct(t *testing.T) {
 			for i := range a {
 				b[i] = octant.AppendKeys(nil, a[i])
 			}
-			BalanceChunks(a, dim, AlgoNew, 4)
 			BalanceChunksKeys(b, dim, 4)
-			for i := range a {
-				if len(a[i]) != len(b[i]) {
-					t.Fatalf("dim %d chunk %d: %d vs %d leaves", dim, i, len(a[i]), len(b[i]))
+			for i, ch := range a {
+				first, last := ch[0], ch[len(ch)-1]
+				want := ch
+				if len(ch) > 1 {
+					nca := octant.NearestCommonAncestor(first, last)
+					want = clipToRange(balance.SubtreeNew(nca, ch, dim), first, last)
 				}
-				for j := range a[i] {
-					if a[i][j] != b[i][j].Octant() {
-						t.Fatalf("dim %d chunk %d leaf %d: %v != %v", dim, i, j, a[i][j], b[i][j].Octant())
-					}
+				if !otest.Equal(octant.AppendOctants(nil, b[i]), want) {
+					t.Fatalf("dim %d chunk %d: %d key leaves, struct oracle %d", dim, i, len(b[i]), len(want))
 				}
 			}
 		}
@@ -138,10 +119,22 @@ func TestClipToRangeKeysMatchesFilter(t *testing.T) {
 	}
 }
 
-// TestKeyListWireByteIdentity pins the key-list codec to the octant-list
-// codec byte for byte under both wire versions, including out-of-root
-// octants, and round-trips the decode both ways.
+// TestKeyListWireByteIdentity pins the key-list codec byte for byte to the
+// octant encoders it wraps — appendOctants under v0, a dim header plus
+// wireEnc under v1 — including out-of-root octants, and round-trips the
+// decode.
 func TestKeyListWireByteIdentity(t *testing.T) {
+	structList := func(octs []octant.Octant, dim int, codec WireCodec) []byte {
+		if codec != WireV1 {
+			return appendOctants(nil, octs)
+		}
+		e := wireEnc{b: []byte{byte(dim)}, codec: codec, dim: int8(dim)}
+		e.count(len(octs))
+		for _, o := range octs {
+			e.oct(o)
+		}
+		return e.b
+	}
 	rng := rand.New(rand.NewSource(33))
 	for _, dim := range []int{2, 3} {
 		for _, codec := range []WireCodec{WireV0, WireV1} {
@@ -158,34 +151,22 @@ func TestKeyListWireByteIdentity(t *testing.T) {
 					}
 					octs = append(octs, o)
 				}
-				keys := octant.AppendKeys(nil, octs)
-
-				wantB := EncodeOctantList(nil, octs, codec)
-				gotB := EncodeKeyList(nil, keys, codec)
+				wantB := structList(octs, dim, codec)
+				gotB := EncodeKeyList(nil, octant.AppendKeys(nil, octs), codec)
 				if !bytes.Equal(wantB, gotB) {
-					t.Fatalf("dim %d codec %v: EncodeKeyList bytes differ from EncodeOctantList", dim, codec)
+					t.Fatalf("dim %d codec %v: EncodeKeyList bytes differ from the octant encoder", dim, codec)
 				}
-
-				decK, offK, err := DecodeKeyList(wantB, codec)
+				dec, off, err := DecodeKeyList(wantB, codec)
 				if err != nil {
 					t.Fatalf("dim %d codec %v: DecodeKeyList: %v", dim, codec, err)
 				}
-				decO, offO, err := DecodeOctantList(gotB, codec)
-				if err != nil {
-					t.Fatalf("dim %d codec %v: DecodeOctantList: %v", dim, codec, err)
-				}
-				if offK != offO || len(decK) != len(decO) {
-					t.Fatalf("dim %d codec %v: decode shapes differ", dim, codec)
-				}
-				for i := range decK {
-					if decK[i].Octant() != decO[i] || decO[i] != octs[i] {
-						t.Fatalf("dim %d codec %v: decode %d: %v vs %v vs input %v",
-							dim, codec, i, decK[i].Octant(), decO[i], octs[i])
-					}
+				if off != len(wantB) || !otest.Equal(octant.AppendOctants(nil, dec), octs) {
+					t.Fatalf("dim %d codec %v: decoded %d keys over %d of %d bytes, input has %d",
+						dim, codec, len(dec), off, len(wantB), len(octs))
 				}
 			}
 			// Empty lists must agree too (v1 writes a default dim byte).
-			if !bytes.Equal(EncodeOctantList(nil, nil, codec), EncodeKeyList(nil, nil, codec)) {
+			if !bytes.Equal(structList(nil, 2, codec), EncodeKeyList(nil, nil, codec)) {
 				t.Fatalf("codec %v: empty key list bytes differ", codec)
 			}
 		}

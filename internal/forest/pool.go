@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/octant"
 )
 
 // numCPUWorkers is the pool size a negative BalanceOptions.Workers asks for.
@@ -88,26 +86,4 @@ func resolveWorkers(w int) int {
 		return 1
 	}
 	return w
-}
-
-// BalanceChunks applies the per-chunk Local subtree balance (phase 1 of
-// Balance) to independent leaf ranges, with the given worker count.  Each
-// chunks[i] is replaced by its balanced, range-clipped form.  Exported for
-// the kernel micro-benchmarks and the worker-pool tests; Balance itself
-// runs the same code path over its local tree chunks.
-func BalanceChunks(chunks [][]octant.Octant, k int, algo Algo, workers int) {
-	dim := 0
-	for _, ch := range chunks {
-		if len(ch) > 0 {
-			dim = int(ch[0].Dim)
-			break
-		}
-	}
-	if dim == 0 {
-		return
-	}
-	root := octant.Root(dim)
-	parallelFor(workers, len(chunks), func(i int) {
-		chunks[i] = localBalanceChunk(root, chunks[i], k, algo)
-	})
 }

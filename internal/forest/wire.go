@@ -338,21 +338,6 @@ func (d *wireDec) count(min int) int {
 	return int(n)
 }
 
-func (d *wireDec) octs() []octant.Octant {
-	n := d.count(d.minOct())
-	if d.err != nil {
-		return nil
-	}
-	octs := make([]octant.Octant, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		octs = append(octs, d.oct())
-	}
-	if d.err != nil {
-		return nil
-	}
-	return octs
-}
-
 // keys decodes an octant list straight into packed keys, pre-sized from the
 // decoded count (which d.count has already bounded against the remaining
 // payload, so a corrupt prefix cannot provoke an oversized allocation).
@@ -383,30 +368,11 @@ func (d *wireDec) bytes() []byte {
 	return p
 }
 
-// EncodeOctantList encodes one self-contained octant list, appending to b.
-// The v1 form leads with a dim header byte so the list can be decoded
-// without out-of-band context; inside a payload stream the producers carry
-// dim themselves and use wireEnc directly.
-func EncodeOctantList(b []byte, octs []octant.Octant, codec WireCodec) []byte {
-	if codec != WireV1 {
-		return appendOctants(b, octs)
-	}
-	dim := int8(2)
-	if len(octs) > 0 {
-		dim = octs[0].Dim
-	}
-	e := wireEnc{b: append(b, byte(dim)), codec: codec, dim: dim}
-	e.count(len(octs))
-	for _, o := range octs {
-		e.oct(o)
-	}
-	return e.b
-}
-
-// EncodeKeyList encodes a packed-key list in the identical byte format as
-// EncodeOctantList: coordinates materialize from each key only at the wire
-// boundary, so payloads are interchangeable between the representations
-// byte for byte and the committed codec fuzz corpus stays valid.
+// EncodeKeyList encodes one self-contained key list, appending to b.
+// Coordinates materialize from each key only at the wire boundary.  The v1
+// form leads with a dim header byte so the list can be decoded without
+// out-of-band context; inside a payload stream the producers carry dim
+// themselves and use wireEnc directly.
 func EncodeKeyList(b []byte, keys []octant.Key, codec WireCodec) []byte {
 	if codec != WireV1 {
 		b = slices.Grow(b, 4+octantWireSize*len(keys))
@@ -428,9 +394,11 @@ func EncodeKeyList(b []byte, keys []octant.Key, codec WireCodec) []byte {
 	return e.b
 }
 
-// DecodeKeyList decodes a list written by EncodeKeyList (or, equivalently,
-// EncodeOctantList) into packed keys, packing each octant as it leaves the
-// wire.  Same error behavior as DecodeOctantList.
+// DecodeKeyList decodes a list written by EncodeKeyList, packing each
+// octant as it leaves the wire, and returns it with the offset just past
+// it.  Malformed input — truncated varints, counts exceeding the payload,
+// out-of-range coordinates — is reported as an error, never a panic or an
+// oversized allocation.
 func DecodeKeyList(b []byte, codec WireCodec) ([]octant.Key, int, error) {
 	if codec != WireV1 {
 		if len(b) < 4 {
@@ -465,35 +433,4 @@ func DecodeKeyList(b []byte, codec WireCodec) ([]octant.Key, int, error) {
 		return nil, 0, d.err
 	}
 	return keys, d.off, nil
-}
-
-// DecodeOctantList decodes a list written by EncodeOctantList and returns it
-// with the offset just past it.  Malformed input — truncated varints, counts
-// exceeding the payload, out-of-range coordinates — is reported as an error,
-// never a panic or an oversized allocation.
-func DecodeOctantList(b []byte, codec WireCodec) ([]octant.Octant, int, error) {
-	if codec != WireV1 {
-		if len(b) < 4 {
-			return nil, 0, errors.New("forest: truncated octant list")
-		}
-		n, _ := comm.Int32At(b, 0)
-		if n < 0 || int(n) > (len(b)-4)/octantWireSize {
-			return nil, 0, fmt.Errorf("forest: octant count %d exceeds %d payload bytes", n, len(b)-4)
-		}
-		octs, off := octantsAt(b, 0)
-		return octs, off, nil
-	}
-	if len(b) == 0 {
-		return nil, 0, errors.New("forest: truncated octant list")
-	}
-	dim := int8(b[0])
-	if dim != 2 && dim != 3 {
-		return nil, 0, fmt.Errorf("forest: octant list dim %d (want 2 or 3)", dim)
-	}
-	d := wireDec{b: b, off: 1, codec: codec, dim: dim}
-	octs := d.octs()
-	if d.err != nil {
-		return nil, 0, d.err
-	}
-	return octs, d.off, nil
 }

@@ -54,9 +54,10 @@ func FuzzWireCodecV1(f *testing.F) {
 			level = 0 // keep level+2 in range so alignment stays meaningful
 		}
 		octs := fuzzOctantList(x, y, z, level, threeD, n)
+		keys := octant.AppendKeys(nil, octs)
 		for _, codec := range []WireCodec{WireV0, WireV1} {
-			b := EncodeOctantList([]byte{0xa5}, octs, codec) // non-empty prefix
-			got, off, err := DecodeOctantList(b[1:], codec)
+			b := EncodeKeyList([]byte{0xa5}, keys, codec) // non-empty prefix
+			got, off, err := DecodeKeyList(b[1:], codec)
 			if err != nil {
 				t.Fatalf("%v: decode: %v", codec, err)
 			}
@@ -67,8 +68,8 @@ func FuzzWireCodecV1(f *testing.F) {
 				t.Fatalf("%v: %d octants -> %d", codec, len(octs), len(got))
 			}
 			for i := range octs {
-				if got[i] != octs[i] {
-					t.Fatalf("%v: octant %d: %+v -> %+v", codec, i, octs[i], got[i])
+				if got[i].Octant() != octs[i] {
+					t.Fatalf("%v: octant %d: %+v -> %+v", codec, i, octs[i], got[i].Octant())
 				}
 			}
 		}
@@ -79,10 +80,10 @@ func FuzzWireCodecV1(f *testing.F) {
 // compact encoding: each must fail with an error — never a panic, never a
 // bogus success — because payloads cross the (simulated) process boundary.
 func TestWireCodecV1RejectsTruncation(t *testing.T) {
-	octs := fuzzOctantList(1<<28, -1<<27, 1<<20, 3, true, 16)
-	full := EncodeOctantList(nil, octs, WireV1)
+	keys := octant.AppendKeys(nil, fuzzOctantList(1<<28, -1<<27, 1<<20, 3, true, 16))
+	full := EncodeKeyList(nil, keys, WireV1)
 	for i := 0; i < len(full); i++ {
-		if _, _, err := DecodeOctantList(full[:i], WireV1); err == nil {
+		if _, _, err := DecodeKeyList(full[:i], WireV1); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", i, len(full))
 		}
 	}
@@ -92,22 +93,22 @@ func TestWireCodecV1RejectsTruncation(t *testing.T) {
 // classes: a garbage dim header, a count exceeding the payload, and a delta
 // that would push a coordinate outside int32 range.
 func TestWireCodecV1RejectsMalformed(t *testing.T) {
-	if _, _, err := DecodeOctantList([]byte{7, 0}, WireV1); err == nil {
+	if _, _, err := DecodeKeyList([]byte{7, 0}, WireV1); err == nil {
 		t.Error("dim 7 accepted")
 	}
 	// Count 1000 with no octant bytes behind it.
-	b := EncodeOctantList(nil, nil, WireV1)[:1] // dim header only
-	b = append(b, 0xe8, 0x07)                   // uvarint 1000
-	if _, _, err := DecodeOctantList(b, WireV1); err == nil {
+	b := EncodeKeyList(nil, nil, WireV1)[:1] // dim header only
+	b = append(b, 0xe8, 0x07)                // uvarint 1000
+	if _, _, err := DecodeKeyList(b, WireV1); err == nil {
 		t.Error("overlong count accepted")
 	}
 	// A level-0 octant whose X delta overflows int32 when scaled back up.
-	b = EncodeOctantList(nil, nil, WireV1)[:1]
+	b = EncodeKeyList(nil, nil, WireV1)[:1]
 	b = append(b, 1)                            // count 1
 	b = append(b, 0)                            // level 0
 	b = append(b, 0x84, 0x80, 0x80, 0x80, 0x20) // zigzag varint 2^33
 	b = append(b, 0, 0)                         // y, z deltas
-	if _, _, err := DecodeOctantList(b, WireV1); err == nil {
+	if _, _, err := DecodeKeyList(b, WireV1); err == nil {
 		t.Error("out-of-range coordinate delta accepted")
 	}
 }
@@ -125,8 +126,9 @@ func TestWireCodecV1Compression(t *testing.T) {
 			octs = append(octs, octant.Octant{X: i * side, Y: j * side, Level: level, Dim: 2})
 		}
 	}
-	v0 := len(EncodeOctantList(nil, octs, WireV0))
-	v1 := len(EncodeOctantList(nil, octs, WireV1))
+	keys := octant.AppendKeys(nil, octs)
+	v0 := len(EncodeKeyList(nil, keys, WireV0))
+	v1 := len(EncodeKeyList(nil, keys, WireV1))
 	if v1*2 > v0 {
 		t.Fatalf("v1 encodes %d octants in %d bytes, v0 in %d — less than 2x smaller", len(octs), v1, v0)
 	}

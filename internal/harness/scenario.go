@@ -133,13 +133,6 @@ type Scenario struct {
 	// cross-check verify that on every scenario that samples WireV1.
 	Codec forest.WireCodec
 
-	// KeyNative runs the balance on the resident packed Morton keys (the
-	// default pipeline); false pins the struct-resident oracle instead
-	// (forest.BalanceOptions.StructLocal).  The balanced forest must be
-	// bit-identical under either representation — the oracle diff and the
-	// checksum cross-check verify that on every scenario that samples it.
-	KeyNative bool
-
 	// ChaosSeed, when non-zero, runs the scenario on a seeded
 	// comm.ChaosTransport (message drops, duplication, delay/reordering
 	// and per-rank stalls) instead of the perfect transport.  The
@@ -303,23 +296,19 @@ func Random(rng *rand.Rand) Scenario {
 	if sc.Notify == forest.NotifyRanges {
 		sc.MaxRanges = 1 + rng.Intn(8)
 	}
+	// The invariance knobs are drawn after every mesh and algorithm field,
+	// in the order they were introduced, so adding or dropping the last one
+	// leaves every other field of every seed as it was.
+	//
 	// Half of the scenarios run the local pipeline on a worker pool, so
 	// worker-count invariance is exercised across the whole lattice.
-	// (Sampled last to keep earlier fields' derivation from a seed stable.)
 	if rng.Intn(2) == 0 {
 		sc.Workers = 2 + rng.Intn(3)
 	}
 	// Half of the scenarios use the compact wire codec, so codec invariance
-	// is exercised across the whole lattice.  (Also sampled after every
-	// earlier field, for the same seed-stability reason as Workers.)
+	// is exercised across the whole lattice.
 	if rng.Intn(2) == 0 {
 		sc.Codec = forest.WireV1
-	}
-	// Half of the scenarios run the Local balance on packed Morton keys, so
-	// representation invariance is exercised across the whole lattice.
-	// (Sampled last, after Codec, per the same seed-stability convention.)
-	if rng.Intn(2) == 0 {
-		sc.KeyNative = true
 	}
 	return sc.Normalized()
 }
@@ -435,7 +424,7 @@ func (sc Scenario) Refiner() otest.RefineFunc {
 
 // Options returns the forest.BalanceOptions the scenario selects.
 func (sc Scenario) Options() forest.BalanceOptions {
-	return forest.BalanceOptions{Algo: sc.Algo, Notify: sc.Notify, MaxRanges: sc.MaxRanges, Workers: sc.Workers, Codec: sc.Codec, StructLocal: !sc.KeyNative}
+	return forest.BalanceOptions{Algo: sc.Algo, Notify: sc.Notify, MaxRanges: sc.MaxRanges, Workers: sc.Workers, Codec: sc.Codec}
 }
 
 // String is a compact one-line description for logs.
@@ -484,13 +473,9 @@ func (sc Scenario) String() string {
 	if sc.Codec != forest.WireV0 {
 		codec = fmt.Sprintf(" codec=%v", sc.Codec)
 	}
-	keys := ""
-	if sc.KeyNative {
-		keys = " keys"
-	}
-	return fmt.Sprintf("seed=%d dim=%d k=%d brick=%dx%dx%d per=%s mask=%s P=%d lvl=%d..%d ref=%v part=%v algo=%v notify=%d%s%s%s%s%s",
+	return fmt.Sprintf("seed=%d dim=%d k=%d brick=%dx%dx%d per=%s mask=%s P=%d lvl=%d..%d ref=%v part=%v algo=%v notify=%d%s%s%s%s",
 		sc.Seed, sc.Dim, sc.K, sc.NX, sc.NY, sc.NZ, per, mask,
-		sc.Ranks, sc.BaseLevel, sc.MaxLevel, sc.Refine, sc.Partition, sc.Algo, sc.Notify, wk, codec, keys, chaos, crash)
+		sc.Ranks, sc.BaseLevel, sc.MaxLevel, sc.Refine, sc.Partition, sc.Algo, sc.Notify, wk, codec, chaos, crash)
 }
 
 // GoLiteral renders the scenario as a Go composite literal, used by the
@@ -518,9 +503,6 @@ func (sc Scenario) GoLiteral() string {
 	}
 	if sc.Codec != 0 {
 		add("Codec: %d,", int(sc.Codec))
-	}
-	if sc.KeyNative {
-		add("KeyNative: true,")
 	}
 	if sc.ChaosSeed != 0 {
 		add("ChaosSeed: %#x, ChaosCanary: %v,", sc.ChaosSeed, sc.ChaosCanary)

@@ -208,13 +208,6 @@ func replayFlags(sc Scenario) string {
 	if sc.Codec != FromSeed(sc.Seed).Codec {
 		s += fmt.Sprintf(" -codec %v", sc.Codec)
 	}
-	if sc.KeyNative != FromSeed(sc.Seed).KeyNative {
-		if sc.KeyNative {
-			s += " -key-native on"
-		} else {
-			s += " -key-native off"
-		}
-	}
 	if sc.ChaosSeed != 0 {
 		s += " -chaos <sweep base>"
 	}

@@ -12,11 +12,13 @@ import (
 )
 
 // This file is the metamorphic leg of the traversal suite: for seeded
-// random query regions over lattice-drawn meshes, any subtree the
-// simultaneous traversal prunes must contain no leaf the brute-force oracle
-// matches, and the matched (leaf, box) pairs must equal the oracle's set
-// exactly.  A violation is shrunk to a minimal replayable scenario with the
-// harness shrinker before the test reports it.
+// random query regions over lattice-drawn meshes, the (leaf, box) pairs the
+// simultaneous traversal matches must equal the brute-force oracle's set
+// exactly.  "Every oracle pair is matched" already implies that no pruned
+// subtree held a leaf the oracle matches, so the no-false-prune property
+// needs no view into the traversal's prune decisions.  A violation is
+// shrunk to a minimal replayable scenario with the harness shrinker before
+// the test reports it.
 
 // noFalsePruneErr checks the property on one scenario and returns the first
 // violation (nil when the scenario satisfies it).  The mesh is the
@@ -50,7 +52,7 @@ func noFalsePruneErr(sc Scenario) (ferr error) {
 // simultaneous traversal against the brute-force intersection oracle.
 func checkNoFalsePrune(sc Scenario, f *forest.Forest) error {
 	rng := otest.NewRand(sc.Seed ^ 0x7ca9e5ed)
-	root := octant.Root(sc.Dim)
+	root := octant.KeyOf(octant.Root(sc.Dim))
 	const numQueries = 6
 	type pair struct{ li, qi int }
 	for _, tc := range f.Local {
@@ -65,36 +67,17 @@ func checkNoFalsePrune(sc Scenario, f *forest.Forest) error {
 			boxes[i] = traverse.InsulationBox(regions[i])
 		}
 		want := make(map[pair]bool)
-		matched := make(map[int]bool) // leaf indices with at least one oracle match
 		for li, leaf := range leaves {
 			for qi, b := range boxes {
 				if b.IntersectsOctant(leaf) {
 					want[pair{li, qi}] = true
-					matched[li] = true
 				}
 			}
 		}
 		got := make(map[pair]bool)
-		var pruneErr error
-		hooks := &traverse.Hooks{OnPrune: func(w octant.Octant, lo, hi int) {
-			if pruneErr != nil {
-				return
-			}
-			for li := lo; li < hi; li++ {
-				if matched[li] {
-					pruneErr = fmt.Errorf("tree %d: pruned subtree %v (window [%d,%d)) contains oracle-matched leaf %v",
-						tc.Tree, w, lo, hi, leaves[li])
-					return
-				}
-			}
-		}}
-		var st traverse.Stats
-		traverse.SearchBoundaryHooks(root, leaves, boxes, func(li, qi int) {
+		traverse.SearchBoundaryKeys(root, tc.Leaves, boxes, func(li, qi int) {
 			got[pair{li, qi}] = true
-		}, &st, hooks)
-		if pruneErr != nil {
-			return pruneErr
-		}
+		}, nil)
 		for p := range want {
 			if !got[p] {
 				return fmt.Errorf("tree %d: oracle pair leaf=%v box=%v (of region %v) missed by the traversal",

@@ -1,7 +1,8 @@
 // Package kernels defines the hot-kernel micro-benchmarks of the
-// reproduction: Morton encode/decode, the Carry3 three-way carry and the
-// Table II λ decisions, seed-octant construction (Section IV) and the two
-// subtree balance algorithms (Figures 6 and 7) on a canned fractal chunk.
+// reproduction: the Carry3 three-way carry and the Table II λ decisions,
+// seed-octant construction (Section IV), the two subtree balance algorithms
+// (Figures 6 and 7) on a canned fractal chunk, and the packed-key kernels
+// the production pipeline runs on (keykernels.go).
 //
 // The benchmarks live in regular (non-test) code so that cmd/bench can run
 // them with testing.Benchmark and fold the ns/op into the BENCH_*.json
@@ -18,7 +19,6 @@ import (
 	"repro/internal/forest"
 	"repro/internal/linear"
 	"repro/internal/octant"
-	"repro/internal/traverse"
 )
 
 // Kernel is one named micro-benchmark.
@@ -30,38 +30,24 @@ type Kernel struct {
 // List returns the kernel benchmarks in a fixed order.
 func List() []Kernel {
 	return []Kernel{
-		{"MortonEncode", benchMortonEncode},
-		{"MortonDecode", benchMortonDecode},
 		{"Carry3", benchCarry3},
 		{"LambdaTableII", benchLambda},
 		{"Seeds", benchSeeds},
 		{"SubtreeBalanceNew", benchSubtreeNew},
 		{"SubtreeBalanceOld", benchSubtreeOld},
-		{"LocalBalanceSerial", benchLocalBalance(1)},
-		{"LocalBalancePar4", benchLocalBalance(4)},
-		{"WireEncodeV0", benchWireEncode(forest.WireV0)},
-		{"WireEncodeV1", benchWireEncode(forest.WireV1)},
-		{"WireDecodeV1", benchWireDecode(forest.WireV1)},
-		{"TraverseSearch", benchTraverseSearch},
 		{"GhostBuild", benchGhostBuild},
 		{"MortonKeyEncode", benchMortonKeyEncode},
 		{"MortonKeyDecode", benchMortonKeyDecode},
 		{"KeyCarry3", benchKeyCarry3},
-		{"SortOctants", benchSortOctants},
 		{"SortKeys", benchSortKeys},
-		{"LowerBoundOctants", benchLowerBoundOctants},
 		{"LowerBoundKeys", benchLowerBoundKeys},
-		{"OverlapRangeOctants", benchOverlapRangeOctants},
 		{"OverlapRangeKeys", benchOverlapRangeKeys},
 		{"LocalBalanceKeysSerial", benchLocalBalanceKeys(1)},
 		{"LocalBalanceKeysPar4", benchLocalBalanceKeys(4)},
 		{"TraverseSearchKeys", benchTraverseSearchKeys},
 		{"WireEncodeKeysV1", benchWireEncodeKeys(forest.WireV1)},
 		{"WireDecodeKeysV1", benchWireDecodeKeys(forest.WireV1)},
-		{"KeyCompareScalar", benchKeyCompareScalar},
-		{"KeyBatchCompare4", benchKeyBatchCompare4},
 		{"KeyBatchLowerBound", benchKeyBatchLowerBound},
-		{"NeighborsOctants", benchNeighborsOctants},
 		{"KeyBatchNeighbors", benchKeyBatchNeighbors},
 		{"SortKeysStd", benchSortKeysStd},
 		{"KeyBatchSortRadix", benchKeyBatchSortRadix},
@@ -103,40 +89,6 @@ func CannedLeaves(dim, maxLevel int) []octant.Octant {
 }
 
 func canned() []octant.Octant { return CannedLeaves(cannedDim, cannedLevel) }
-
-func benchMortonEncode(b *testing.B) {
-	leaves := canned()
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		for _, o := range leaves {
-			sink += o.MortonIndex()
-		}
-	}
-	_ = sink
-	perOp(b, len(leaves))
-}
-
-func benchMortonDecode(b *testing.B) {
-	leaves := canned()
-	type key struct {
-		level int
-		idx   uint64
-	}
-	keys := make([]key, len(leaves))
-	for i, o := range leaves {
-		keys[i] = key{int(o.Level), o.MortonIndex()}
-	}
-	b.ResetTimer()
-	var sink int32
-	for i := 0; i < b.N; i++ {
-		for _, k := range keys {
-			sink += octant.FromMortonIndex(cannedDim, k.level, k.idx).X
-		}
-	}
-	_ = sink
-	perOp(b, len(keys))
-}
 
 func benchCarry3(b *testing.B) {
 	triples := carryTriples()
@@ -203,110 +155,6 @@ func benchSubtreeOld(b *testing.B) {
 		copy(in, leaves)
 		balance.SubtreeOld(root, in, cannedK)
 	}
-}
-
-// Local-balance pipeline kernel: phase 1 of forest.Balance applied to many
-// independent leaf ranges, exactly the per-chunk work the rank-local worker
-// pool distributes.  A deeper canned fractal is cut into contiguous curve
-// ranges so one iteration mirrors a rank that owns localBalChunks tree
-// chunks.  The serial and 4-worker variants share inputs, so the pair
-// measures both pool overhead and — on multi-core hosts — speedup, while
-// allocs/op stays deterministic for the CI regression gate.
-const (
-	localBalChunks = 32
-	localBalLevel  = 6
-)
-
-// localBalanceInput builds the chunked leaf ranges the LocalBalance kernels
-// consume.  The ranges partition the sorted leaf array, so each is a valid
-// ascending curve segment of the tree.
-func localBalanceInput() [][]octant.Octant {
-	leaves := CannedLeaves(cannedDim, localBalLevel)
-	chunks := make([][]octant.Octant, 0, localBalChunks)
-	per := (len(leaves) + localBalChunks - 1) / localBalChunks
-	for lo := 0; lo < len(leaves); lo += per {
-		hi := lo + per
-		if hi > len(leaves) {
-			hi = len(leaves)
-		}
-		chunks = append(chunks, leaves[lo:hi])
-	}
-	return chunks
-}
-
-func benchLocalBalance(workers int) func(b *testing.B) {
-	return func(b *testing.B) {
-		src := localBalanceInput()
-		// Reusable work buffers: the copy-in below never allocates, so
-		// allocs/op is the balance path itself, not benchmark plumbing.
-		work := make([][]octant.Octant, len(src))
-		for j := range src {
-			work[j] = make([]octant.Octant, 0, 2*len(src[j])+16)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range src {
-				work[j] = append(work[j][:0], src[j]...)
-			}
-			forest.BalanceChunks(work, cannedK, forest.AlgoNew, workers)
-		}
-	}
-}
-
-// Wire-codec kernels: encode/decode the canned chunk as one octant list,
-// the unit of work the balance query/response and partition payloads are
-// made of.  The encode buffer is reused across iterations so allocs/op
-// isolates what the codec itself allocates.
-func benchWireEncode(codec forest.WireCodec) func(b *testing.B) {
-	return func(b *testing.B) {
-		leaves := canned()
-		var buf []byte
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf = forest.EncodeOctantList(buf[:0], leaves, codec)
-		}
-		b.ReportMetric(float64(len(buf))/float64(len(leaves)), "bytes/oct")
-		perOp(b, len(leaves))
-	}
-}
-
-func benchWireDecode(codec forest.WireCodec) func(b *testing.B) {
-	return func(b *testing.B) {
-		leaves := canned()
-		enc := forest.EncodeOctantList(nil, leaves, codec)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			octs, _, err := forest.DecodeOctantList(enc, codec)
-			if err != nil {
-				b.Fatalf("kernels: wire decode: %v", err)
-			}
-			if len(octs) != len(leaves) {
-				b.Fatalf("kernels: wire decode returned %d of %d octants", len(octs), len(leaves))
-			}
-		}
-		perOp(b, len(leaves))
-	}
-}
-
-// benchTraverseSearch measures the recursive traversal engine itself: a
-// full Search over the canned chunk with a never-pruning callback, so ns/op
-// is the per-leaf cost of the implicit-octree descent (window splitting via
-// lower-bound searches plus the callback dispatch) with zero useful work in
-// the visitor.
-func benchTraverseSearch(b *testing.B) {
-	leaves := canned()
-	root := octant.Root(cannedDim)
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		var st traverse.Stats
-		traverse.Search(root, leaves, func(w octant.Octant, lo, hi int, isLeaf bool) bool {
-			return true
-		}, &st)
-		sink += st.Leaves
-	}
-	_ = sink
-	perOp(b, len(leaves))
 }
 
 // ghostScanInput builds the synthetic two-rank forest the GhostBuild kernel

@@ -48,7 +48,7 @@ func BenchmarkKernels(b *testing.B) {
 	}
 }
 
-// TestSubtreeNewKeysAllocsBounded bounds the allocations of the key-native
+// TestSubtreeNewKeysAllocsBounded bounds the allocations of the packed-key
 // subtree balance on the canned chunk: seven fixed ones (reduced input and
 // its flags, the two arrays of the key set, worklist, merged set,
 // completion) plus two per doubling of the key set, whatever the number of

@@ -1,11 +1,9 @@
 package kernels
 
-// Key-native kernel benchmarks: each pairs with a struct kernel over the
-// same canned input so BENCH_local.json records the packed-representation
-// win directly — Morton encode/decode against KeyOf/Octant, comparison
-// sorts and binary searches against their integer-compare twins, the
-// chunked Local balance pipeline against its key-routed variant, and the
-// WireV1 list codec against the key-list boundary materialization.
+// Packed-key kernel benchmarks over the canned chunk: Morton key
+// encode/decode and successor, sort and binary searches on the two-word
+// compare, the chunked Local balance pipeline, the recursive traversal and
+// the WireV1 key-list codec — the kernels the production pipeline runs on.
 
 import (
 	"math/rand"
@@ -48,7 +46,7 @@ func benchMortonKeyDecode(b *testing.B) {
 	perOp(b, len(keys))
 }
 
-// benchKeyCarry3 measures the key-native successor step — the single
+// benchKeyCarry3 measures the packed-key successor step — the single
 // carry-propagating 128-bit add that replaces the per-axis Carry3 chain —
 // over every canned leaf that has a successor at its level.
 func benchKeyCarry3(b *testing.B) {
@@ -84,17 +82,6 @@ func shuffled() []octant.Octant {
 	return leaves
 }
 
-func benchSortOctants(b *testing.B) {
-	src := shuffled()
-	work := make([]octant.Octant, len(src))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, src)
-		linear.Sort(work)
-	}
-	perOp(b, len(src))
-}
-
 func benchSortKeys(b *testing.B) {
 	src := octant.AppendKeys(nil, shuffled())
 	work := make([]octant.Key, len(src))
@@ -104,19 +91,6 @@ func benchSortKeys(b *testing.B) {
 		linear.SortKeys(work)
 	}
 	perOp(b, len(src))
-}
-
-func benchLowerBoundOctants(b *testing.B) {
-	leaves := canned()
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		for _, q := range leaves {
-			sink += linear.LowerBound(leaves, q)
-		}
-	}
-	_ = sink
-	perOp(b, len(leaves))
 }
 
 func benchLowerBoundKeys(b *testing.B) {
@@ -130,20 +104,6 @@ func benchLowerBoundKeys(b *testing.B) {
 	}
 	_ = sink
 	perOp(b, len(keys))
-}
-
-func benchOverlapRangeOctants(b *testing.B) {
-	leaves := canned()
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		for _, q := range leaves {
-			lo, hi := linear.OverlapRange(leaves, q)
-			sink += hi - lo
-		}
-	}
-	_ = sink
-	perOp(b, len(leaves))
 }
 
 func benchOverlapRangeKeys(b *testing.B) {
@@ -160,17 +120,42 @@ func benchOverlapRangeKeys(b *testing.B) {
 	perOp(b, len(keys))
 }
 
-// benchLocalBalanceKeys mirrors benchLocalBalance over the same chunked
-// input, routed through the key-resident Local balance.  The keys are
-// packed once outside the loop: with the chunk representation itself
-// packed, the measured pipeline starts from resident keys.
+// Local-balance pipeline kernel: phase 1 of forest.Balance applied to many
+// independent leaf ranges, exactly the per-chunk work the rank-local worker
+// pool distributes.  A deeper canned fractal is cut into contiguous curve
+// ranges so one iteration mirrors a rank that owns localBalChunks tree
+// chunks.  The serial and 4-worker variants share inputs, so the pair
+// measures both pool overhead and — on multi-core hosts — speedup, while
+// allocs/op stays deterministic for the CI regression gate.
+const (
+	localBalChunks = 32
+	localBalLevel  = 6
+)
+
+// localBalanceInput builds the chunked leaf ranges the LocalBalanceKeys
+// kernels consume.  The ranges partition the sorted leaf array, so each is
+// a valid ascending curve segment of the tree.
+func localBalanceInput() [][]octant.Key {
+	leaves := octant.AppendKeys(nil, CannedLeaves(cannedDim, localBalLevel))
+	chunks := make([][]octant.Key, 0, localBalChunks)
+	per := (len(leaves) + localBalChunks - 1) / localBalChunks
+	for lo := 0; lo < len(leaves); lo += per {
+		hi := lo + per
+		if hi > len(leaves) {
+			hi = len(leaves)
+		}
+		chunks = append(chunks, leaves[lo:hi])
+	}
+	return chunks
+}
+
 func benchLocalBalanceKeys(workers int) func(b *testing.B) {
 	return func(b *testing.B) {
-		structSrc := localBalanceInput()
-		src := make([][]octant.Key, len(structSrc))
-		work := make([][]octant.Key, len(structSrc))
-		for j := range structSrc {
-			src[j] = octant.AppendKeys(nil, structSrc[j])
+		src := localBalanceInput()
+		// Reusable work buffers: the copy-in below never allocates, so
+		// allocs/op is the balance path itself, not benchmark plumbing.
+		work := make([][]octant.Key, len(src))
+		for j := range src {
 			work[j] = make([]octant.Key, 0, 2*len(src[j])+16)
 		}
 		b.ResetTimer()
@@ -183,46 +168,9 @@ func benchLocalBalanceKeys(workers int) func(b *testing.B) {
 	}
 }
 
-// Batch kernels (KeyBatch* prefix, alloc-gated in CI): each 4-wide or
-// radix-partition kernel runs next to its scalar twin over the same canned
-// keys, so the record carries the batch-vs-scalar win directly.
-
-func benchKeyCompareScalar(b *testing.B) {
-	keys := cannedKeys()
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		for j := 0; j+1 < len(keys); j++ {
-			sink += octant.KeyCompare(keys[j], keys[j+1])
-		}
-	}
-	_ = sink
-	perOp(b, len(keys)-1)
-}
-
-func benchKeyBatchCompare4(b *testing.B) {
-	keys := cannedKeys()
-	// Adjacent-pair lanes packed once outside the timer, so ns/op is the
-	// unrolled branch-free compare itself, not group assembly.
-	n := (len(keys) - 1) / 4
-	as := make([][4]octant.Key, n)
-	bs := make([][4]octant.Key, n)
-	for g := 0; g < n; g++ {
-		copy(as[g][:], keys[4*g:4*g+4])
-		copy(bs[g][:], keys[4*g+1:4*g+5])
-	}
-	var out [4]int
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		for g := range as {
-			linear.CompareKeys4(&as[g], &bs[g], &out)
-			sink += out[0] + out[1] + out[2] + out[3]
-		}
-	}
-	_ = sink
-	perOp(b, 4*n)
-}
+// Batch kernels (KeyBatch* prefix, alloc-gated in CI): batched lower
+// bound, key neighbor fan and radix sort over the same canned keys as their
+// scalar twins (LowerBoundKeys, SortKeysStd).
 
 // benchKeyBatchLowerBound resolves every canned key against the whole
 // sorted array in one batched call; the ascending targets let the batch
@@ -235,24 +183,6 @@ func benchKeyBatchLowerBound(b *testing.B) {
 		linear.LowerBoundKeysBatch(keys, keys, out)
 	}
 	perOp(b, len(keys))
-}
-
-func benchNeighborsOctants(b *testing.B) {
-	leaves := canned()
-	dirs := octant.Directions(cannedDim, cannedDim)
-	out := make([]octant.Octant, len(dirs))
-	b.ResetTimer()
-	var sink int32
-	for i := 0; i < b.N; i++ {
-		for _, o := range leaves {
-			for di, d := range dirs {
-				out[di] = o.Neighbor(d)
-			}
-			sink += out[0].X
-		}
-	}
-	_ = sink
-	perOp(b, len(leaves)*len(dirs))
 }
 
 func benchKeyBatchNeighbors(b *testing.B) {
@@ -295,6 +225,11 @@ func benchKeyBatchSortRadix(b *testing.B) {
 	perOp(b, len(src))
 }
 
+// benchTraverseSearchKeys measures the recursive traversal engine itself: a
+// full SearchKeys over the canned chunk with a never-pruning callback, so
+// ns/op is the per-leaf cost of the implicit-octree descent (window
+// splitting via lower-bound searches plus the callback dispatch) with zero
+// useful work in the visitor.
 func benchTraverseSearchKeys(b *testing.B) {
 	keys := cannedKeys()
 	root := octant.KeyOf(octant.Root(cannedDim))
@@ -311,6 +246,10 @@ func benchTraverseSearchKeys(b *testing.B) {
 	perOp(b, len(keys))
 }
 
+// Wire-codec kernels: encode/decode the canned chunk as one key list, the
+// unit of work the balance query/response and partition payloads are made
+// of.  The encode buffer is reused across iterations so allocs/op isolates
+// what the codec itself allocates.
 func benchWireEncodeKeys(codec forest.WireCodec) func(b *testing.B) {
 	return func(b *testing.B) {
 		keys := cannedKeys()

@@ -1,12 +1,10 @@
 package linear
 
-// This file is the batch-kernel layer over packed key slices: SIMD-style
-// loops that process several keys per iteration with unrolled two-word
-// compares and branch-free selects, plus an in-place MSD radix sort over
-// the 16 big-endian key bytes.  The resident key representation makes
-// these the inner loops of local balance, traversal window splitting and
-// the insulation-grid prunables; each kernel is pinned to its scalar twin
-// by the property tests in keybatch_test.go.
+// This file is the batch-kernel layer over packed key slices: a batched
+// lower bound whose ascending targets shrink each successive search window
+// (the traversal's window splitting) and an in-place MSD radix sort over
+// the 16 big-endian key bytes (behind SortKeys); each kernel is pinned to
+// its scalar twin by the property tests in keybatch_test.go.
 
 import (
 	"math/bits"
@@ -14,40 +12,12 @@ import (
 	"repro/internal/octant"
 )
 
-// b2i converts a bool to 0/1 without a branch (compiles to SETcc).
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// compareKeysBF is the branch-free two-word compare: the high-word verdict
-// dominates by weighting it 2x, so the sign matches octant.KeyCompare with
-// no data-dependent branches.
-func compareKeysBF(a, b octant.Key) int {
-	hi := b2i(a.Hi > b.Hi) - b2i(a.Hi < b.Hi)
-	lo := b2i(a.Lo > b.Lo) - b2i(a.Lo < b.Lo)
-	return hi<<1 + hi + lo // 3*hi + lo: |lo| <= 1 < 3, sign(3*hi+lo) = sign((hi,lo))
-}
-
-// CompareKeys4 compares four key pairs at once, writing the sign of each
-// comparison into out.  The unrolled body keeps four independent two-word
-// compares in flight per iteration of a caller's loop — the 4-wide batch
-// primitive behind the sortedness sweeps.
-func CompareKeys4(a, b *[4]octant.Key, out *[4]int) {
-	out[0] = compareKeysBF(a[0], b[0])
-	out[1] = compareKeysBF(a[1], b[1])
-	out[2] = compareKeysBF(a[2], b[2])
-	out[3] = compareKeysBF(a[3], b[3])
-}
-
 // LowerBoundKeysBatch finds the lower bound of every target in keys,
 // writing the indices into out.  The targets must be ascending: each
 // search reuses the previous result as its left edge, so a fan of child
 // boundaries over one node window costs one shrinking binary search per
 // boundary with a hand-rolled branch-lean loop instead of a comparator
-// closure per probe.  Used by the key-native traversal's window splitting.
+// closure per probe.  Used by the packed-key traversal's window splitting.
 func LowerBoundKeysBatch(keys []octant.Key, targets []octant.Key, out []int) {
 	lo := 0
 	for t := range targets {

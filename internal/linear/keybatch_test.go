@@ -90,44 +90,6 @@ func TestRadixSortKeysMatchesComparisonSort(t *testing.T) {
 	}
 }
 
-// TestCompareKeys4MatchesScalar pins the branch-free 4-wide compare to
-// octant.KeyCompare sign-for-sign on adversarial pairs.
-func TestCompareKeys4MatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, dim := range []int{2, 3} {
-		keys := adversarialKeys(rng, dim)
-		var a, b [4]octant.Key
-		var out [4]int
-		for trial := 0; trial < 500; trial++ {
-			for i := 0; i < 4; i++ {
-				a[i] = keys[rng.Intn(len(keys))]
-				if trial%3 == 0 {
-					b[i] = a[i] // equal lanes
-				} else {
-					b[i] = keys[rng.Intn(len(keys))]
-				}
-			}
-			CompareKeys4(&a, &b, &out)
-			for i := 0; i < 4; i++ {
-				want := octant.KeyCompare(a[i], b[i])
-				if sign(out[i]) != sign(want) {
-					t.Fatalf("dim %d lane %d: CompareKeys4 sign %d, KeyCompare %d", dim, i, out[i], want)
-				}
-			}
-		}
-	}
-}
-
-func sign(v int) int {
-	if v < 0 {
-		return -1
-	}
-	if v > 0 {
-		return 1
-	}
-	return 0
-}
-
 // TestLowerBoundKeysBatchMatchesScalar pins the shrinking-window batch
 // lower bound to per-target LowerBoundKeys on sorted targets, including
 // targets below, inside, between and above the key range.

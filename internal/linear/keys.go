@@ -1,7 +1,7 @@
 package linear
 
 // This file is the Keys mirror of the linear-octree primitives: the same
-// algorithms over SoA slices of packed octant.Key values.  The key-native
+// algorithms over SoA slices of packed octant.Key values.  The packed-key
 // balance and traversal hot paths sort, search and window key slices
 // directly — one or two word compares per element instead of the struct
 // comparator — and materialize coordinates only at tree boundaries.
@@ -99,6 +99,10 @@ func OverlapRangeKeys(keys []octant.Key, q octant.Key) (lo, hi int) {
 
 // DescendantRangeKeys returns the half-open index range [lo, hi) of the
 // elements of the sorted slice keys that are descendants-or-equal of q.
+// Unlike OverlapRangeKeys it never widens the result to an ancestor of q,
+// which makes it the windowing primitive of the recursive traversal engine
+// (internal/traverse): the leaf window of a virtual tree node is exactly the
+// descendant range of that node's octant.
 func DescendantRangeKeys(keys []octant.Key, q octant.Key) (lo, hi int) {
 	lo = LowerBoundKeys(keys, q)
 	last := q.LastDescendant(octant.MaxLevel)

@@ -131,26 +131,6 @@ func OverlapRange(octs []octant.Octant, q octant.Octant) (lo, hi int) {
 	return lo, hi
 }
 
-// DescendantRange returns the half-open index range [lo, hi) of the elements
-// of the sorted array octs that are descendants-or-equal of q.  Unlike
-// OverlapRange it never widens the result to an ancestor of q, which makes
-// it the windowing primitive of the recursive traversal engine
-// (internal/traverse): the leaf window of a virtual tree node is exactly the
-// descendant range of that node's octant.
-func DescendantRange(octs []octant.Octant, q octant.Octant) (lo, hi int) {
-	lo = LowerBound(octs, q)
-	last := q.LastDescendant(octant.MaxLevel)
-	pos, found := slices.BinarySearchFunc(octs, last, octant.Compare)
-	hi = pos
-	if found {
-		hi++
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
-
 // Complete fills the gaps of the sorted linear array octs with the coarsest
 // possible octants so that the result is a complete linear octree of root.
 // Every element of octs must be a descendant-or-equal of root.  This is the
@@ -188,40 +168,6 @@ func appendCompletion(out []octant.Octant, w octant.Octant, sub []octant.Octant)
 	if j != len(sub) {
 		panic(fmt.Sprintf("linear: Complete input octant %v not contained in %v", sub[j], w))
 	}
-	return out
-}
-
-// CompleteRegion returns the coarsest complete sequence of octants that
-// covers exactly the space-filling-curve gap strictly between octants a and
-// b (exclusive of both), all within root.  a must precede b and neither may
-// overlap the other.  This is the classical "complete region" primitive of
-// linear octree codes.
-func CompleteRegion(root, a, b octant.Octant) []octant.Octant {
-	if octant.Compare(a, b) >= 0 || a.Overlaps(b) {
-		panic("linear: CompleteRegion requires disjoint a < b")
-	}
-	var out []octant.Octant
-	var walk func(w octant.Octant)
-	walk = func(w octant.Octant) {
-		if a.IsAncestorOrEqual(w) {
-			return // w is inside a
-		}
-		if octant.Compare(w, a) < 0 && !w.IsAncestor(a) {
-			return // w lies entirely before a on the curve
-		}
-		if octant.Compare(w, b) >= 0 {
-			return // w is b, after b, or inside b
-		}
-		if w.IsAncestor(a) || w.IsAncestor(b) {
-			for c := 0; c < octant.NumChildren(int(w.Dim)); c++ {
-				walk(w.Child(c))
-			}
-			return
-		}
-		// w lies strictly between a and b and overlaps neither.
-		out = append(out, w)
-	}
-	walk(root)
 	return out
 }
 
@@ -289,27 +235,4 @@ func Union(a, b []octant.Octant) []octant.Octant {
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out
-}
-
-// Count returns the total volume of the octants in octs measured in units
-// of level-l cells.  It is useful for checking completeness: a complete
-// octree of root has Count equal to root's volume.
-func Count(octs []octant.Octant, l int8) uint64 {
-	var v uint64
-	for _, o := range octs {
-		if o.Level > l {
-			panic("linear: Count level finer than octant")
-		}
-		v += uint64(1) << (uint(o.Dim) * uint(l-o.Level))
-	}
-	return v
-}
-
-// Overlay merges two linear octree fragments into the pointwise finest
-// cover: where octants of a and b overlap, the finer one survives.  Both
-// inputs must be sorted and linear; the result is sorted and linear.  This
-// is the operation the Local rebalance phase uses to merge reconstructed
-// subtrees into a partition.
-func Overlay(a, b []octant.Octant) []octant.Octant {
-	return Linearize(Union(a, b))
 }

@@ -233,43 +233,6 @@ func TestPrecludingMemberMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestCompleteRegion(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, dim := range []int{2, 3} {
-		root := octant.Root(dim)
-		for trial := 0; trial < 60; trial++ {
-			a := otest.RandomOctant(rng, dim, 2, 6)
-			b := otest.RandomOctant(rng, dim, 2, 6)
-			if octant.Compare(a, b) > 0 {
-				a, b = b, a
-			}
-			if a.Overlaps(b) {
-				continue
-			}
-			gap := CompleteRegion(root, a, b)
-			if !IsLinear(gap) {
-				t.Fatal("CompleteRegion output not linear")
-			}
-			// a ++ gap ++ b must be a contiguous run on the curve.
-			run := append([]octant.Octant{a}, gap...)
-			run = append(run, b)
-			for i := 0; i+1 < len(run); i++ {
-				last := run[i].LastDescendant(octant.MaxLevel)
-				next := run[i+1].FirstDescendant(octant.MaxLevel)
-				if last.Successor() != next {
-					t.Fatalf("dim %d: gap between %v and %v (elements %d/%d)", dim, run[i], run[i+1], i, len(run))
-				}
-			}
-			// None of the gap octants may overlap a or b.
-			for _, g := range gap {
-				if g.Overlaps(a) || g.Overlaps(b) {
-					t.Fatalf("gap octant %v overlaps endpoint", g)
-				}
-			}
-		}
-	}
-}
-
 func TestOverlapRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, dim := range []int{2, 3} {
@@ -316,18 +279,6 @@ func TestUnion(t *testing.T) {
 	}
 }
 
-func TestCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, dim := range []int{2, 3} {
-		root := octant.Root(dim)
-		complete := otest.RandomComplete(rng, root, 5, 0.6)
-		want := uint64(1) << (uint(dim) * 6)
-		if got := Count(complete, 6); got != want {
-			t.Fatalf("dim %d: Count = %d, want %d", dim, got, want)
-		}
-	}
-}
-
 func TestLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	root := octant.Root(2)
@@ -342,26 +293,5 @@ func TestLowerBound(t *testing.T) {
 	}
 	if Contains(complete, complete[0].Child(0)) {
 		t.Fatal("Contains(absent) = true")
-	}
-}
-
-func TestOverlayKeepsFinest(t *testing.T) {
-	root := octant.Root(2)
-	coarse := []octant.Octant{root.Child(0), root.Child(1)}
-	fine := []octant.Octant{root.Child(0).Child(2), root.Child(0).Child(3)}
-	got := Overlay(coarse, fine)
-	if Contains(got, root.Child(0)) {
-		t.Fatal("coarse octant survived overlay with finer cover")
-	}
-	for _, f := range fine {
-		if !Contains(got, f) {
-			t.Fatalf("fine octant %v lost", f)
-		}
-	}
-	if !Contains(got, root.Child(1)) {
-		t.Fatal("non-overlapped coarse octant lost")
-	}
-	if !IsLinear(got) {
-		t.Fatal("overlay not linear")
 	}
 }

@@ -53,7 +53,7 @@ func BuildNodesDistributed(f *forest.Forest, c *comm.Comm, ghost *forest.GhostLa
 	dim := conn.Dim()
 
 	// Patch view: local + ghost leaves per tree, for corner classification.
-	// This is a true edge of the key-resident forest: the numbering works on
+	// This is a true edge of the packed-key forest: the numbering works on
 	// coordinates, so the local chunks materialize here once.
 	patch := make([][]octant.Octant, conn.NumTrees())
 	for _, tc := range f.Local {

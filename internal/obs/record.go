@@ -44,12 +44,7 @@ type BenchRun struct {
 	Workers int `json:"workers,omitempty"`
 	// Codec is the wire codec of the run ("v0"/"v1"); empty in records
 	// predating the codec dimension (which ran the v0 format).
-	Codec string `json:"codec,omitempty"`
-	// Repr is the resident chunk representation of the run: "keys" (the
-	// default packed-Morton pipeline) or "structs" (the struct-resident
-	// oracle, cmd/bench -key-resident A/B).  Empty in records predating
-	// the representation dimension.
-	Repr          string                `json:"repr,omitempty"`
+	Codec         string                `json:"codec,omitempty"`
 	OctantsBefore int64                 `json:"octants_before"`
 	OctantsAfter  int64                 `json:"octants_after"`
 	Phases        map[string]Summary    `json:"phases"`

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/kernels"
 	"repro/internal/obs"
 )
 
@@ -147,4 +148,47 @@ func TestCompareKernelAllocs(t *testing.T) {
 			t.Fatalf("skipped %v, want [SortKeys]", skipped)
 		}
 	})
+}
+
+// TestCommittedBaselinesGateCurrentKernels loads the four committed records
+// CI's alloc gates use as baselines (older ones carry keys this schema no
+// longer has, such as "repr"; they must still load and validate) and checks
+// that every -gate-prefix CI names still compares at least one kernel that
+// cmd/bench measures today — a gate whose kernels were all deleted would
+// otherwise only fail in CI.
+func TestCommittedBaselinesGateCurrentKernels(t *testing.T) {
+	current := make(map[string]bool)
+	for _, k := range append(kernels.List(), kernels.NetList()...) {
+		current[k.Name] = true
+	}
+	cases := []struct {
+		file     string
+		prefixes []string
+	}{
+		{"BENCH_local.json", []string{"LocalBalance", "Morton", "Sort", "LowerBound", "OverlapRange", "KeyCarry3", "KeyBatch"}},
+		{"BENCH_wire.json", []string{"Wire"}},
+		{"BENCH_ghost.json", []string{"Traverse", "Ghost"}},
+		{"BENCH_net.json", []string{"Net"}},
+	}
+	for _, c := range cases {
+		base, err := obs.ReadBenchRecord(filepath.Join("..", "..", "results", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := base.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.file, err)
+		}
+		cur := *base
+		cur.Kernels = nil
+		for _, k := range base.Kernels {
+			if current[k.Name] {
+				cur.Kernels = append(cur.Kernels, k)
+			}
+		}
+		for _, prefix := range c.prefixes {
+			if _, err := obs.CompareKernelAllocs(base, &cur, prefix, 0); err != nil {
+				t.Errorf("%s, prefix %q: %v", c.file, prefix, err)
+			}
+		}
+	}
 }

@@ -256,7 +256,7 @@ func (k Key) LastDescendant(lv int8) Key {
 }
 
 // Successor returns the next key of the same level in Morton order: a
-// single carry-propagating add on the interleave (the key-native Carry3),
+// single carry-propagating add on the interleave (the packed-key Carry3),
 // replacing the struct representation's digit loop.  It panics when k is
 // the last octant of its level in the root.
 func (k Key) Successor() Key {

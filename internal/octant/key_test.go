@@ -94,7 +94,7 @@ func TestKeyCompareAgrees(t *testing.T) {
 	}
 }
 
-// TestKeyRelations checks every key-native Table I kernel against its
+// TestKeyRelations checks every packed-key Table I kernel against its
 // struct counterpart across the lattice.
 func TestKeyRelations(t *testing.T) {
 	for _, dim := range []int{2, 3} {

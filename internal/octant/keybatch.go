@@ -23,7 +23,7 @@ const (
 )
 
 // InsideRoot reports whether k lies entirely inside the root octant, with
-// two word operations and no unpacking — the fast path that lets key-native
+// two word operations and no unpacking — the fast path that lets packed-key
 // traversals skip Canonicalize for interior cells (Canonicalize is the
 // identity on in-root octants).
 func (k Key) InsideRoot() bool {
@@ -61,7 +61,7 @@ func KeyChildren(k Key, out *[8]Key) int {
 // results into out (which must have len(out) >= len(dirs)).  The interleave
 // split, grid position and per-axis mask/unit words are computed once and
 // reused across the whole direction fan — the insulation-grid batch kernel
-// behind the key-native ghost/query prunables (a 3^d-1 fan per tree node).
+// behind the packed-key ghost/query prunables (a 3^d-1 fan per tree node).
 func KeyNeighbors(k Key, dirs []Dir, out []Key) {
 	h0, l0 := k.split()
 	dim := uint(k.Dim())
@@ -94,7 +94,7 @@ func KeyNeighbors(k Key, dirs []Dir, out []Key) {
 
 // AppendKeySuccessors appends the run k, k.Successor(), ... of n same-level
 // keys to dst and returns the extended slice.  The carry add (the
-// key-native Carry3) runs on the hoisted interleave pair, so a uniform run
+// packed-key Carry3) runs on the hoisted interleave pair, so a uniform run
 // costs one add and one repack per key.  It panics if the run would step
 // past the end of k's level.
 func AppendKeySuccessors(dst []Key, k Key, n int) []Key {

@@ -1,24 +1,27 @@
 package traverse
 
-// Key-native traversal: the same implicit-octree descent as Search, but on
-// packed Morton keys.  Window splitting uses the integer-compare lower
-// bound (linear.LowerBoundKeys), so descending a node costs a handful of
-// 128-bit compares instead of per-digit coordinate inspection.
+// The traversal engine, on packed Morton keys: windows are split with the
+// integer-compare lower bound (linear.LowerBoundKeysBatch), so descending a
+// node costs a handful of 128-bit compares instead of per-digit coordinate
+// inspection.
 
 import (
 	"repro/internal/linear"
 	"repro/internal/octant"
 )
 
-// VisitKeys is the node callback of SearchKeys; see Visit for the
-// contract.  w is the current node as a packed key and leaves[lo:hi] is
-// its non-empty window.
+// VisitKeys is the node callback of SearchKeys.  w is the current node of
+// the implicit octree and leaves[lo:hi] (of the slice given to SearchKeys)
+// is the window of stored leaves inside w; the window is never empty.
+// isLeaf reports that w itself is a stored leaf (then hi == lo+1 and
+// leaves[lo] == w).  Returning false prunes the subtree: none of the
+// window's leaves are visited.  The return value of a leaf call is ignored.
 type VisitKeys func(w octant.Key, lo, hi int, isLeaf bool) bool
 
-// SearchKeys descends the implicit octree of the sorted key array leaves
-// below root, invoking visit on every node it does not prune.  It is
-// Search on packed keys: same node order, same windows, same prune
-// semantics.  st may be nil.
+// SearchKeys descends the implicit octree of the sorted linear key array
+// leaves below root, invoking visit on every node it does not prune.  Empty
+// subtrees (no stored leaf in the window) are skipped without a callback.
+// Leaves outside root are ignored.  st may be nil.
 func SearchKeys(root octant.Key, leaves []octant.Key, visit VisitKeys, st *Stats) {
 	if st == nil {
 		st = new(Stats)
@@ -48,13 +51,14 @@ func searchNodeKeys(w octant.Key, leaves []octant.Key, lo, hi int, visit VisitKe
 }
 
 // descendKeys splits the window leaves[lo:hi] of node w among w's children
-// and invokes fn for each child with a non-empty window; the mirror of
-// descend.  All elements of the window must be strict descendants of w.
-// The child fan is materialized once (octant.KeyChildren) and the window
-// boundaries come from one batched lower-bound pass whose searches shrink
-// left to right (descendants of child ci precede child ci+1 on the
-// ancestors-first curve), so splitting a node costs a handful of two-word
-// compares with no comparator closures.
+// and invokes fn for each child with a non-empty window.  All elements of
+// the window must be strict descendants of w (the caller has ruled out the
+// leaf-equal case), so the child windows partition [lo, hi).  The child fan
+// is materialized once (octant.KeyChildren) and the window boundaries come
+// from one batched lower-bound pass whose searches shrink left to right
+// (descendants of child ci precede child ci+1 on the ancestors-first
+// curve), so splitting a node costs a handful of two-word compares with no
+// comparator closures.
 func descendKeys(w octant.Key, leaves []octant.Key, lo, hi int, fn func(c octant.Key, clo, chi int)) {
 	var kids [8]octant.Key
 	n := octant.KeyChildren(w, &kids)
@@ -74,9 +78,15 @@ func descendKeys(w octant.Key, leaves []octant.Key, lo, hi int, fn func(c octant
 	}
 }
 
-// SplitTasksKeys is SplitTasks on packed keys: it splits the implicit
-// octree below root into independent subtree windows in curve order,
-// holding at most ceil(n/maxTasks) leaves each where splittable.
+// SplitTasksKeys splits the implicit octree below root into independent
+// subtree windows suitable for fanning one traversal over a worker pool: it
+// descends — without invoking any callback — until tasks hold at most
+// ceil(n/maxTasks) leaves each or cannot be split further, and returns them
+// in curve order.  maxTasks < 2 (or an empty window) yields at most one
+// task covering everything.  Descending past a node the serial traversal
+// would have pruned only costs the workers a cheap re-test at each task
+// root; it never changes what a sound prune-callback lets through, so
+// callers get identical output at every task count.
 func SplitTasksKeys(root octant.Key, leaves []octant.Key, maxTasks int) []TaskKeys {
 	lo, hi := linear.DescendantRangeKeys(leaves, root)
 	if lo >= hi {
@@ -104,18 +114,24 @@ func SplitTasksKeys(root octant.Key, leaves []octant.Key, maxTasks int) []TaskKe
 	return out
 }
 
-// TaskKeys is one disjoint subtree window of a key traversal frontier.
+// TaskKeys is one disjoint subtree of a traversal frontier: the window
+// leaves[Lo:Hi) below Root.  Tasks of one SplitTasksKeys call partition the
+// root's leaf window in curve order.
 type TaskKeys struct {
 	Root   octant.Key
 	Lo, Hi int
 }
 
-// SearchBoundaryKeys is SearchBoundary on packed keys: a simultaneous walk
-// of the implicit octree of the sorted key array and a set of query boxes,
-// with identical node order, prune decisions and match sequence.  Each
-// visited node is unpacked once for the box-intersection filter — pruning
-// keeps that set small — while windows, descent and leaf identity stay on
-// two-word key compares.  st may be nil.
+// SearchBoundaryKeys simultaneously walks the implicit octree of leaves and
+// a set of query boxes: a subtree is descended only while at least one box
+// intersects its octant, so subtrees provably far from every query region
+// — in the balance and ghost use, far from any partition boundary — are
+// pruned wholesale instead of being tested leaf by leaf.  match is invoked
+// for every (stored leaf, box) pair that intersects, in curve order of the
+// leaves and ascending box order per leaf, which makes the call sequence
+// deterministic.  Each visited node is unpacked once for the
+// box-intersection filter — pruning keeps that set small — while windows,
+// descent and leaf identity stay on two-word key compares.  st may be nil.
 func SearchBoundaryKeys(root octant.Key, leaves []octant.Key, boxes []Box, match Match, st *Stats) {
 	if st == nil {
 		st = new(Stats)
@@ -132,15 +148,21 @@ func SearchBoundaryKeys(root octant.Key, leaves []octant.Key, boxes []Box, match
 	d.walk(root, lo, hi, 0, len(d.active))
 }
 
-// dualKeys carries the state of one simultaneous key traversal; see dual.
+// dualKeys carries the state of one simultaneous traversal.  The active-box
+// index sets of the recursion live stacked in one shared slice, so the
+// whole walk performs no per-node allocation beyond occasional stack
+// growth.
 type dualKeys struct {
 	leaves []octant.Key
 	boxes  []Box
-	active []int32
+	active []int32 // stack of active box index frames
 	match  Match
 	st     *Stats
 }
 
+// walk handles node w with leaf window [lo, hi) and the active box indices
+// active[alo:ahi] (those that intersected w's parent): it pushes a new
+// frame holding the subset that also intersects w.
 func (d *dualKeys) walk(w octant.Key, lo, hi, alo, ahi int) {
 	n0 := len(d.active)
 	wo := w.Octant()

@@ -6,17 +6,14 @@
 //
 // A sorted linear leaf array implicitly encodes the full octree: the
 // subtree below any octant w corresponds to the contiguous window of leaves
-// that are descendants-or-equal of w (linear.DescendantRange).  Descending
-// that implicit tree and windowing the slice per virtual node lets a caller
-// prune whole subtrees with one test instead of inspecting every leaf —
-// which turns the per-element neighbor searches of ghost construction and
-// balance query matching into boundary-proportional work.
+// that are descendants-or-equal of w (linear.DescendantRangeKeys).
+// Descending that implicit tree and windowing the slice per virtual node
+// lets a caller prune whole subtrees with one test instead of inspecting
+// every leaf — which turns the per-element neighbor searches of ghost
+// construction and balance query matching into boundary-proportional work.
 package traverse
 
-import (
-	"repro/internal/linear"
-	"repro/internal/octant"
-)
+import "repro/internal/octant"
 
 // Stats counts the work one traversal performed.  On meshes where most of
 // the curve is far from any region of interest, Nodes+Leaves stays well
@@ -44,69 +41,6 @@ func (s *Stats) Merge(t Stats) {
 // Visited returns the total number of tree nodes (virtual and leaf) the
 // traversal touched.
 func (s Stats) Visited() int { return s.Nodes + s.Leaves }
-
-// Visit is the node callback of Search.  w is the current node of the
-// implicit octree and leaves[lo:hi] (of the slice given to Search) is the
-// window of stored leaves inside w; the window is never empty.  isLeaf
-// reports that w itself is a stored leaf (then hi == lo+1 and
-// leaves[lo] == w).  Returning false prunes the subtree: none of the
-// window's leaves are visited.  The return value of a leaf call is ignored.
-type Visit func(w octant.Octant, lo, hi int, isLeaf bool) bool
-
-// Search descends the implicit octree of the sorted linear array leaves
-// below root, invoking visit on every node it does not prune.  Empty
-// subtrees (no stored leaf in the window) are skipped without a callback.
-// Leaves outside root are ignored.  st may be nil.
-func Search(root octant.Octant, leaves []octant.Octant, visit Visit, st *Stats) {
-	if st == nil {
-		st = new(Stats)
-	}
-	lo, hi := linear.DescendantRange(leaves, root)
-	if lo >= hi {
-		return
-	}
-	searchNode(root, leaves, lo, hi, visit, st)
-}
-
-// searchNode handles one node with a non-empty window leaves[lo:hi].
-func searchNode(w octant.Octant, leaves []octant.Octant, lo, hi int, visit Visit, st *Stats) {
-	if hi-lo == 1 && leaves[lo] == w {
-		st.Leaves++
-		visit(w, lo, hi, true)
-		return
-	}
-	st.Nodes++
-	if !visit(w, lo, hi, false) {
-		st.Pruned++
-		return
-	}
-	descend(w, leaves, lo, hi, func(c octant.Octant, clo, chi int) {
-		searchNode(c, leaves, clo, chi, visit, st)
-	})
-}
-
-// descend splits the window leaves[lo:hi] of node w among w's children and
-// invokes fn for each child with a non-empty window.  All elements of the
-// window must be strict descendants of w (the caller has ruled out the
-// leaf-equal case), so the child windows partition [lo, hi).
-func descend(w octant.Octant, leaves []octant.Octant, lo, hi int, fn func(c octant.Octant, clo, chi int)) {
-	n := octant.NumChildren(int(w.Dim))
-	clo := lo
-	for ci := 0; ci < n; ci++ {
-		c := w.Child(ci)
-		chi := hi
-		if ci+1 < n {
-			// Descendants of child ci all precede child ci+1 on the curve
-			// (ancestors-first Morton order), so the window boundary is a
-			// single lower-bound search within the parent window.
-			chi = clo + linear.LowerBound(leaves[clo:hi], w.Child(ci+1))
-		}
-		if chi > clo {
-			fn(c, clo, chi)
-		}
-		clo = chi
-	}
-}
 
 // Box is an axis-aligned box on the octant lattice with half-open per-axis
 // extents [Lo, Hi).  Extents are int64 so boxes around out-of-root octants
@@ -154,139 +88,6 @@ func (b Box) IntersectsOctant(o octant.Octant) bool {
 	return true
 }
 
-// Match is the leaf callback of SearchBoundary: leaf index li (into the
+// Match is the leaf callback of SearchBoundaryKeys: leaf index li (into the
 // slice given to the traversal) intersects box qi.
 type Match func(li, qi int)
-
-// Hooks optionally observes traversal-internal events; a nil *Hooks or nil
-// field disables the corresponding hook.
-type Hooks struct {
-	// OnPrune fires when a subtree with the non-empty leaf window
-	// leaves[lo:hi] is skipped because no query box intersects its octant.
-	// The metamorphic test suite uses it to prove prunes are never wrong.
-	OnPrune func(w octant.Octant, lo, hi int)
-}
-
-// SearchBoundary simultaneously walks the implicit octree of leaves and a
-// set of query boxes: a subtree is descended only while at least one box
-// intersects its octant, so subtrees provably far from every query region
-// — in the balance and ghost use, far from any partition boundary — are
-// pruned wholesale instead of being tested leaf by leaf.  match is invoked
-// for every (stored leaf, box) pair that intersects, in curve order of the
-// leaves and ascending box order per leaf, which makes the call sequence
-// deterministic.  st may be nil.
-func SearchBoundary(root octant.Octant, leaves []octant.Octant, boxes []Box, match Match, st *Stats) {
-	SearchBoundaryHooks(root, leaves, boxes, match, st, nil)
-}
-
-// SearchBoundaryHooks is SearchBoundary with observation hooks.
-func SearchBoundaryHooks(root octant.Octant, leaves []octant.Octant, boxes []Box, match Match, st *Stats, hooks *Hooks) {
-	if st == nil {
-		st = new(Stats)
-	}
-	lo, hi := linear.DescendantRange(leaves, root)
-	if lo >= hi || len(boxes) == 0 {
-		return
-	}
-	d := &dual{leaves: leaves, boxes: boxes, match: match, st: st}
-	if hooks != nil {
-		d.onPrune = hooks.OnPrune
-	}
-	d.active = make([]int32, len(boxes), 2*len(boxes)+16)
-	for i := range d.active {
-		d.active[i] = int32(i)
-	}
-	d.walk(root, lo, hi, 0, len(d.active))
-}
-
-// dual carries the state of one simultaneous traversal.  The active-box
-// index sets of the recursion live stacked in one shared slice, so the
-// whole walk performs no per-node allocation beyond occasional stack
-// growth.
-type dual struct {
-	leaves  []octant.Octant
-	boxes   []Box
-	active  []int32 // stack of active box index frames
-	match   Match
-	onPrune func(w octant.Octant, lo, hi int)
-	st      *Stats
-}
-
-// walk handles node w with leaf window [lo, hi) and the active box indices
-// active[alo:ahi] (those that intersected w's parent).
-func (d *dual) walk(w octant.Octant, lo, hi, alo, ahi int) {
-	// Filter the parent's active set down to the boxes intersecting w,
-	// pushing a new frame on the shared stack.
-	n0 := len(d.active)
-	for _, qi := range d.active[alo:ahi] {
-		if d.boxes[qi].IntersectsOctant(w) {
-			d.active = append(d.active, qi)
-		}
-	}
-	n1 := len(d.active)
-	if n1 == n0 {
-		d.st.Pruned++
-		if d.onPrune != nil {
-			d.onPrune(w, lo, hi)
-		}
-		d.active = d.active[:n0]
-		return
-	}
-	if hi-lo == 1 && d.leaves[lo] == w {
-		d.st.Leaves++
-		for _, qi := range d.active[n0:n1] {
-			d.match(lo, int(qi))
-		}
-		d.active = d.active[:n0]
-		return
-	}
-	d.st.Nodes++
-	descend(w, d.leaves, lo, hi, func(c octant.Octant, clo, chi int) {
-		d.walk(c, clo, chi, n0, n1)
-	})
-	d.active = d.active[:n0]
-}
-
-// Task is one disjoint subtree of a traversal frontier: the window
-// leaves[Lo:Hi) below Root.  Tasks of one SplitTasks call partition the
-// root's leaf window in curve order.
-type Task struct {
-	Root   octant.Octant
-	Lo, Hi int
-}
-
-// SplitTasks splits the implicit octree below root into independent subtree
-// windows suitable for fanning one traversal over a worker pool: it
-// descends — without invoking any callback — until tasks hold at most
-// ceil(n/maxTasks) leaves each or cannot be split further, and returns them
-// in curve order.  maxTasks < 2 (or an empty window) yields at most one
-// task covering everything.  Descending past a node the serial traversal
-// would have pruned only costs the workers a cheap re-test at each task
-// root; it never changes what a sound prune-callback lets through, so
-// callers get identical output at every task count.
-func SplitTasks(root octant.Octant, leaves []octant.Octant, maxTasks int) []Task {
-	lo, hi := linear.DescendantRange(leaves, root)
-	if lo >= hi {
-		return nil
-	}
-	if maxTasks < 2 {
-		return []Task{{Root: root, Lo: lo, Hi: hi}}
-	}
-	per := (hi - lo + maxTasks - 1) / maxTasks
-	if per < 1 {
-		per = 1
-	}
-	var out []Task
-	var split func(w octant.Octant, lo, hi int)
-	split = func(w octant.Octant, lo, hi int) {
-		if hi-lo <= per || (hi-lo == 1 && leaves[lo] == w) {
-			out = append(out, Task{Root: w, Lo: lo, Hi: hi})
-			return
-		}
-		descend(w, leaves, lo, hi, func(c octant.Octant, clo, chi int) {
-			split(c, clo, chi)
-		})
-	}
-	split(root, lo, hi)
-	return out
-}

@@ -1,6 +1,7 @@
 package traverse
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/linear"
@@ -37,7 +38,7 @@ func gradedMesh(root octant.Octant, depth int) []octant.Octant {
 	base := uniformMesh(root, 4)
 	rng := otest.NewRand(int64(depth)*977 + int64(root.Dim))
 	focusPath := otest.RandomGraded(rng, root, depth+2)
-	return linear.Overlay(base, focusPath)
+	return linear.Linearize(linear.Union(base, focusPath))
 }
 
 // uniformMesh returns the complete uniform refinement of root to the level.
@@ -55,32 +56,33 @@ func uniformMesh(root octant.Octant, level int) []octant.Octant {
 	return out
 }
 
-// TestSearchVisitsExactlyTheLeaves drives Search with a never-pruning
+// TestSearchVisitsExactlyTheLeaves drives SearchKeys with a never-pruning
 // callback and checks it reaches every stored leaf exactly once, in curve
 // order, with correct windows.
 func TestSearchVisitsExactlyTheLeaves(t *testing.T) {
 	for name, leaves := range meshes(t) {
-		root := octant.Root(int(leaves[0].Dim))
-		var got []octant.Octant
+		keys := octant.AppendKeys(nil, leaves)
+		root := octant.KeyOf(octant.Root(int(leaves[0].Dim)))
+		var got []octant.Key
 		var st Stats
-		Search(root, leaves, func(w octant.Octant, lo, hi int, isLeaf bool) bool {
+		SearchKeys(root, keys, func(w octant.Key, lo, hi int, isLeaf bool) bool {
 			if hi <= lo {
 				t.Fatalf("%s: empty window [%d,%d) at %v", name, lo, hi, w)
 			}
-			dlo, dhi := linear.DescendantRange(leaves, w)
+			dlo, dhi := linear.DescendantRangeKeys(keys, w)
 			if dlo != lo || dhi != hi {
-				t.Fatalf("%s: window [%d,%d) at %v, DescendantRange says [%d,%d)", name, lo, hi, w, dlo, dhi)
+				t.Fatalf("%s: window [%d,%d) at %v, DescendantRangeKeys says [%d,%d)", name, lo, hi, w, dlo, dhi)
 			}
 			if isLeaf {
-				if hi != lo+1 || leaves[lo] != w {
+				if hi != lo+1 || keys[lo] != w {
 					t.Fatalf("%s: bad leaf visit %v window [%d,%d)", name, w, lo, hi)
 				}
 				got = append(got, w)
 			}
 			return true
 		}, &st)
-		if !otest.Equal(got, leaves) {
-			t.Fatalf("%s: Search visited %d of %d leaves or out of order", name, len(got), len(leaves))
+		if !slices.Equal(got, keys) {
+			t.Fatalf("%s: SearchKeys visited %d of %d leaves or out of order", name, len(got), len(leaves))
 		}
 		if st.Leaves != len(leaves) || st.Pruned != 0 {
 			t.Fatalf("%s: stats %+v after full traversal of %d leaves", name, st, len(leaves))
@@ -96,6 +98,7 @@ func TestSearchBoxPruneMatchesBruteForce(t *testing.T) {
 	for name, leaves := range meshes(t) {
 		dim := int(leaves[0].Dim)
 		root := octant.Root(dim)
+		keys := octant.AppendKeys(nil, leaves)
 		rng := otest.NewRand(int64(len(leaves)))
 		for trial := 0; trial < 8; trial++ {
 			region := otest.RandomOctant(rng, dim, 1, 6)
@@ -110,12 +113,13 @@ func TestSearchBoxPruneMatchesBruteForce(t *testing.T) {
 
 			var got []octant.Octant
 			var st Stats
-			Search(root, leaves, func(w octant.Octant, lo, hi int, isLeaf bool) bool {
-				if !box.IntersectsOctant(w) {
+			SearchKeys(octant.KeyOf(root), keys, func(w octant.Key, lo, hi int, isLeaf bool) bool {
+				wo := w.Octant()
+				if !box.IntersectsOctant(wo) {
 					return false
 				}
 				if isLeaf {
-					got = append(got, w)
+					got = append(got, wo)
 				}
 				return true
 			}, &st)
@@ -138,12 +142,14 @@ func TestSearchBoxPruneMatchesBruteForce(t *testing.T) {
 
 // TestSearchBoundaryMatchesBruteForce checks the simultaneous traversal
 // reports exactly the brute-force (leaf, box) intersection pairs, in curve
-// order with ascending box order per leaf, and that its prune hook never
-// fires on a window containing a matching leaf.
+// order with ascending box order per leaf.  That every brute-force pair is
+// reported already implies no pruned subtree held a matching leaf, so the
+// prune decisions need no separate observation.
 func TestSearchBoundaryMatchesBruteForce(t *testing.T) {
 	for name, leaves := range meshes(t) {
 		dim := int(leaves[0].Dim)
-		root := octant.Root(dim)
+		root := octant.KeyOf(octant.Root(dim))
+		keys := octant.AppendKeys(nil, leaves)
 		rng := otest.NewRand(int64(7 * len(leaves)))
 		for trial := 0; trial < 6; trial++ {
 			nq := 1 + rng.Intn(9)
@@ -163,20 +169,9 @@ func TestSearchBoundaryMatchesBruteForce(t *testing.T) {
 			}
 
 			var got []pair
-			var st Stats
-			hooks := &Hooks{OnPrune: func(w octant.Octant, lo, hi int) {
-				for _, o := range leaves[lo:hi] {
-					for qi, b := range boxes {
-						if b.IntersectsOctant(o) {
-							t.Fatalf("%s trial %d: pruned %v but leaf %v matches box %d",
-								name, trial, w, o, qi)
-						}
-					}
-				}
-			}}
-			SearchBoundaryHooks(root, leaves, boxes, func(li, qi int) {
+			SearchBoundaryKeys(root, keys, boxes, func(li, qi int) {
 				got = append(got, pair{li, qi})
-			}, &st, hooks)
+			}, nil)
 
 			if len(got) != len(want) {
 				t.Fatalf("%s trial %d: %d matches, brute force %d", name, trial, len(got), len(want))
@@ -195,8 +190,7 @@ func TestSearchBoundaryMatchesBruteForce(t *testing.T) {
 // strictly below the leaf count.
 func TestSearchBoundaryPrunesGradedMeshes(t *testing.T) {
 	for _, dim := range []int{2, 3} {
-		root := octant.Root(dim)
-		leaves := gradedMesh(root, 9)
+		leaves := gradedMesh(octant.Root(dim), 9)
 		if len(leaves) < 200 {
 			t.Fatalf("%dD graded mesh unexpectedly small: %d leaves", dim, len(leaves))
 		}
@@ -210,7 +204,7 @@ func TestSearchBoundaryPrunesGradedMeshes(t *testing.T) {
 		}
 		boxes := []Box{InsulationBox(deepest)}
 		var st Stats
-		SearchBoundary(root, leaves, boxes, func(li, qi int) {}, &st)
+		SearchBoundaryKeys(octant.KeyOf(octant.Root(dim)), octant.AppendKeys(nil, leaves), boxes, func(li, qi int) {}, &st)
 		if st.Visited() >= len(leaves) {
 			t.Fatalf("%dD: visited %d nodes of a %d-leaf graded mesh — traversal did not prune",
 				dim, st.Visited(), len(leaves))
@@ -260,10 +254,10 @@ func TestBoxOctantGeometry(t *testing.T) {
 // per-task traversal reproduces the global match set.
 func TestSplitTasksPartition(t *testing.T) {
 	for name, leaves := range meshes(t) {
-		dim := int(leaves[0].Dim)
-		root := octant.Root(dim)
+		root := octant.KeyOf(octant.Root(int(leaves[0].Dim)))
+		keys := octant.AppendKeys(nil, leaves)
 		for _, maxTasks := range []int{0, 1, 2, 3, 7, 16, len(leaves) + 5} {
-			tasks := SplitTasks(root, leaves, maxTasks)
+			tasks := SplitTasksKeys(root, keys, maxTasks)
 			if len(tasks) == 0 {
 				t.Fatalf("%s: no tasks for %d leaves", name, len(leaves))
 			}
@@ -278,7 +272,7 @@ func TestSplitTasksPartition(t *testing.T) {
 				if tk.Hi <= tk.Lo {
 					t.Fatalf("%s maxTasks=%d: empty task window [%d,%d)", name, maxTasks, tk.Lo, tk.Hi)
 				}
-				lo, hi := linear.DescendantRange(leaves, tk.Root)
+				lo, hi := linear.DescendantRangeKeys(keys, tk.Root)
 				if lo != tk.Lo || hi != tk.Hi {
 					t.Fatalf("%s maxTasks=%d: task root %v covers [%d,%d), window is [%d,%d)",
 						name, maxTasks, tk.Root, lo, hi, tk.Lo, tk.Hi)
@@ -293,12 +287,12 @@ func TestSplitTasksPartition(t *testing.T) {
 			// serial match sequence once windows are rebased.
 			box := InsulationBox(leaves[len(leaves)/2])
 			var serial []int
-			SearchBoundary(root, leaves, []Box{box}, func(li, qi int) {
+			SearchBoundaryKeys(root, keys, []Box{box}, func(li, qi int) {
 				serial = append(serial, li)
 			}, nil)
 			var fanned []int
 			for _, tk := range tasks {
-				SearchBoundary(tk.Root, leaves[tk.Lo:tk.Hi], []Box{box}, func(li, qi int) {
+				SearchBoundaryKeys(tk.Root, keys[tk.Lo:tk.Hi], []Box{box}, func(li, qi int) {
 					fanned = append(fanned, tk.Lo+li)
 				}, nil)
 			}

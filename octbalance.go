@@ -73,8 +73,6 @@ var (
 	Complete = linear.Complete
 	// Reduce removes preclusion-redundant octants (Figure 8).
 	Reduce = linear.Reduce
-	// Overlay merges two linear fragments keeping the pointwise finest.
-	Overlay = linear.Overlay
 )
 
 // Subtree balance algorithms (Section III) and remote-balance primitives
