@@ -336,15 +336,17 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	// insulation layer can leave the local partition or cross a tree
 	// boundary — subtrees with an entirely same-tree, rank-local insulation
 	// neighborhood are pruned without touching their leaves.  Only the
-	// surviving boundary leaves then enumerate their insulation cells.
+	// surviving boundary leaves then resolve their insulation groups.
 	ps = beginPhase(c, "query")
 	boundary, queryStats := f.queryBoundaryLeaves(me, workers, runParallel)
 	sp := child(obs.SpanQueryBuild)
-	set := f.buildQueries(me, boundary)
+	set, buildStats := f.buildQueries(me, boundary)
 	sp.End()
 	tr.Add(me, "balance/query-nodes", int64(queryStats.Nodes))
 	tr.Add(me, "balance/query-leaves", int64(queryStats.Leaves))
 	tr.Add(me, "balance/query-pruned", int64(queryStats.Pruned))
+	tr.Add(me, obs.CounterQueryGroups, int64(buildStats.groups))
+	tr.Add(me, obs.CounterQueryCells, int64(buildStats.cells))
 	tr.Add(me, obs.CounterBalanceQueries, int64(len(set.qs)))
 	queryBuildTime := ps.end()
 
@@ -523,73 +525,183 @@ func clipToRange(octs []octant.Octant, first, last octant.Octant) []octant.Octan
 	return out
 }
 
-// buildQueries enumerates the queries of the boundary leaves (phase 2): for
-// every insulation cell of a leaf, the owners of the cell's region are asked
-// how the leaf must split.  The cell is derived on the packed key; while it
-// stays inside the root, Canonicalize is the identity, so a cell owned by
-// this rank alone is dismissed — and a remote one addressed — without
-// unpacking anything.  Only cells that leave the root unpack the leaf for
-// the connectivity map.
-func (f *Forest) buildQueries(me int, boundary [][]int32) querySet {
-	ot := f.ownerTable()
-	dirs := octant.Directions(f.Conn.dim, f.Conn.dim)
-	// target is where one insulation cell sends its leaf; a leaf has at most
-	// one distinct target per direction, and its query octant depends on the
-	// target tree alone.
-	type target struct {
-		tree        int32
-		first, last int
-	}
-	var issued []issuedQuery
+// queryBuildStats counts the work of one query build: the insulation groups
+// whose owners were bracketed, and the cells resolved one by one because
+// their group straddles a partition boundary.
+type queryBuildStats struct {
+	groups, cells int
+}
+
+// buildQueries enumerates the queries of the boundary leaves (phase 2): the
+// owners of every insulation cell of a leaf are asked how the leaf must
+// split.  The cells are resolved per exit target, not one by one.  A leaf
+// below the root that touches m root faces splits its 3^d − 1 cells into at
+// most 2^m groups, one per offset in the product over the touched axes of
+// {0, ±1}: the in-root group — the 3×3(×3) box clipped to the root — and one
+// exit group per neighbour tree (a root leaf touches every face and has
+// 3^d).  Each group is an aligned box of same-size cells in one tree's
+// frame, and the Morton order is monotone in every coordinate, so the box's
+// whole region lies on the curve between the first descendant of its
+// min-corner cell and the last descendant of its max-corner cell: the
+// owners of those two positions bracket the owners of every cell.
+//
+// The in-root group contains the leaf itself, so it is either dismissed —
+// both ends in this rank's own range, two key compares — or straddles.  An
+// exit group canonicalizes once; when both ends have one owner it yields one
+// query, to that owner.  Only a straddling group falls back to resolving its
+// own cells one by one.  The query set is exactly the classical per-cell
+// one, in which every insulation cell is canonicalized and every owner of
+// its region asked.
+func (f *Forest) buildQueries(me int, boundary [][]int32) (querySet, queryBuildStats) {
+	b := queryBuilder{f: f, ot: f.ownerTable(), me: me, dirs: octant.Directions(f.Conn.dim, f.Conn.dim)}
 	for ci := range f.Local {
 		tc := &f.Local[ci]
 		for _, li := range boundary[ci] {
-			leaf := tc.Leaves[li]
-			var (
-				r        octant.Octant // leaf unpacked, once a cell leaves the root
-				unpacked bool
-				seen     [26]target
-				nseen    int
-			)
-		cells:
-			for _, d := range dirs {
-				cell := leaf.Neighbor(d)
-				tgt := target{tree: tc.Tree}
-				var shift Shift
-				if cell.InsideRoot() {
-					if ot.ownsRegionKey(me, tc.Tree, cell) {
-						continue // same tree, own partition: done by the local balance
-					}
-					tgt.first, tgt.last = ot.ownersOfRegionKey(tc.Tree, cell)
-				} else {
-					if !unpacked {
-						r, unpacked = leaf.Octant(), true
-					}
-					ti, cell2, sh, ok := f.Conn.Canonicalize(tc.Tree, r.Neighbor(d))
-					if !ok {
-						continue // domain boundary
-					}
-					tgt.tree, shift = ti, sh
-					tgt.first, tgt.last = ot.ownersOfRegionKey(ti, octant.KeyOf(cell2))
-				}
-				for _, s := range seen[:nseen] {
-					if s == tgt {
-						continue cells
-					}
-				}
-				seen[nseen] = tgt
-				nseen++
-				q := query{tree: tgt.tree, r: shift.applyKey(leaf)}
-				for rank := tgt.first; rank <= tgt.last; rank++ {
-					if rank == me && tgt.tree == tc.Tree {
-						continue
-					}
-					issued = append(issued, issuedQuery{dest: int32(rank), q: q, org: origin{tree: tc.Tree, shift: shift}})
-				}
+			b.leaf(tc.Tree, tc.Leaves[li])
+		}
+	}
+	return newQuerySet(b.issued), b.stats
+}
+
+// queryBuilder collects the queries of one rank's boundary leaves.
+type queryBuilder struct {
+	f      *Forest
+	ot     *ownerTable
+	me     int
+	dirs   []octant.Dir
+	issued []issuedQuery
+	stats  queryBuildStats
+}
+
+// leaf issues the queries of one boundary leaf of the given tree, group by
+// group.
+func (b *queryBuilder) leaf(tree int32, leaf octant.Key) {
+	r := leaf.Octant()
+	h := r.Len()
+	// Per axis: the corner coordinates lo..hi of the in-root cells, and the
+	// group offsets — 0, plus −1 / +1 where the leaf touches the low / high
+	// root face.  Axes past the dimension keep the single offset 0.
+	var lo, hi [3]int32
+	var offs [3][3]int8
+	noff := [3]int{1, 1, 1}
+	for a := 0; a < b.f.Conn.dim; a++ {
+		c := r.Coord(a)
+		lo[a], hi[a] = c-h, c+h
+		if c == 0 {
+			lo[a] = 0
+			offs[a][noff[a]] = -1
+			noff[a]++
+		}
+		if c+h == octant.RootLen {
+			hi[a] = c
+			offs[a][noff[a]] = 1
+			noff[a]++
+		}
+	}
+	for i := 0; i < noff[0]; i++ {
+		for j := 0; j < noff[1]; j++ {
+			for k := 0; k < noff[2]; k++ {
+				b.group(tree, leaf, r, &lo, &hi, octant.Dir{offs[0][i], offs[1][j], offs[2][k]})
 			}
 		}
 	}
-	return newQuerySet(issued)
+}
+
+// group issues the queries of the insulation cells of leaf r (packed: leaf)
+// that lie across the root faces named by the exit offset g — the in-root
+// cells for g = 0.  lo and hi are the in-root corner ranges from leaf.
+func (b *queryBuilder) group(tree int32, leaf octant.Key, r octant.Octant, lo, hi *[3]int32, g octant.Dir) {
+	h := r.Len()
+	cmin, cmax := r, r // the min- and max-corner cells of the group's box
+	for a := 0; a < b.f.Conn.dim; a++ {
+		if g[a] == 0 {
+			cmin, cmax = cmin.WithCoord(a, lo[a]), cmax.WithCoord(a, hi[a])
+		} else {
+			c := r.Coord(a) + int32(g[a])*h
+			cmin, cmax = cmin.WithCoord(a, c), cmax.WithCoord(a, c)
+		}
+	}
+	inRoot := g == octant.Dir{}
+	t, shift := tree, Shift{}
+	if !inRoot {
+		// Every cell of the group lies in the same neighbour grid cell, so
+		// the min corner's translation maps the whole box.
+		nt, c, sh, ok := b.f.Conn.Canonicalize(tree, cmin)
+		if !ok {
+			return // domain boundary
+		}
+		t, shift, cmin, cmax = nt, sh, c, sh.Apply(cmax)
+	}
+	b.stats.groups++
+	first := octant.KeyOf(cmin).FirstDescendant(octant.MaxLevel)
+	last := octant.KeyOf(cmax).LastDescendant(octant.MaxLevel)
+	q := query{tree: t, r: leaf}
+	if inRoot {
+		if b.ot.ownsRange(b.me, t, first, last) {
+			return // same tree, own partition: done by the local balance
+		}
+	} else {
+		q.r = octant.KeyOf(shift.Apply(r))
+		if p := b.ot.ownerOfKey(t, first); p == b.ot.ownerOfKey(t, last) {
+			if p != b.me || t != tree {
+				b.issue(p, q, tree, shift)
+			}
+			return
+		}
+	}
+	// The group straddles a partition boundary: resolve its cells one by
+	// one.  Repeated targets are skipped while they are adjacent and
+	// otherwise dropped by newQuerySet.
+	prev := [2]int{-1, -1}
+	for _, d := range b.dirs {
+		if !groupHas(g, d, r, lo, hi) {
+			continue
+		}
+		b.stats.cells++
+		var cell octant.Key
+		if inRoot {
+			cell = leaf.Neighbor(d)
+			if b.ot.ownsRegionKey(b.me, t, cell) {
+				continue
+			}
+		} else {
+			cell = octant.KeyOf(shift.Apply(r.Neighbor(d)))
+		}
+		cf, cl := b.ot.ownersOfRegionKey(t, cell)
+		if [2]int{cf, cl} == prev {
+			continue
+		}
+		prev = [2]int{cf, cl}
+		for rank := cf; rank <= cl; rank++ {
+			if rank != b.me || t != tree {
+				b.issue(rank, q, tree, shift)
+			}
+		}
+	}
+}
+
+// groupHas reports whether the insulation cell of r in direction d belongs
+// to the group with exit offset g: it leaves the root across exactly g's
+// faces and stays within lo..hi on every other axis.
+func groupHas(g, d octant.Dir, r octant.Octant, lo, hi *[3]int32) bool {
+	for a := 0; a < int(r.Dim); a++ {
+		if g[a] != 0 {
+			if d[a] != g[a] {
+				return false
+			}
+			continue
+		}
+		if c := r.Coord(a) + int32(d[a])*r.Len(); c < lo[a] || c > hi[a] {
+			return false
+		}
+	}
+	return true
+}
+
+// issue addresses query q, built from a leaf of the given tree by shift, to
+// rank.
+func (b *queryBuilder) issue(rank int, q query, tree int32, shift Shift) {
+	b.issued = append(b.issued, issuedQuery{dest: int32(rank), q: q, org: origin{tree: tree, shift: shift}})
 }
 
 // applyKey translates a packed octant by the shift.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/comm"
@@ -100,25 +101,64 @@ func TestQuerySetMatchesCoordinateDedup(t *testing.T) {
 	}
 }
 
-// TestBuildQueriesMatchesClassical compares the packed-key query build —
-// in-root cells never unpacked, per-leaf target dedup — against the
-// classical enumeration: every insulation cell canonicalized on coordinates
-// and every owner of its region asked.
-func TestBuildQueriesMatchesClassical(t *testing.T) {
-	topos := []struct {
-		name string
-		conn *Connectivity
-	}{
-		{"brick2d", NewBrick(2, 3, 2, 1, [3]bool{})},
-		{"periodic2d", NewBrick(2, 4, 3, 1, [3]bool{true, false, false})},
-		{"masked2d", NewMaskedBrick(2, 3, 3, 1, [3]bool{}, func(x, y, z int) bool { return x != 1 || y != 1 })},
-		{"brick3d", NewBrick(3, 2, 2, 1, [3]bool{})},
+// selfPeriodicBrick returns a 3D brick whose y axis is one tree wide and
+// periodic, so every tree is its own neighbour across both y faces.
+// NewBrick refuses such an axis; the brick is built directly so the query
+// build's skip of a rank's own tree is checked where an exit group leads
+// back into it.
+func selfPeriodicBrick() *Connectivity {
+	c := &Connectivity{dim: 3, n: [3]int{2, 1, 2}, periodic: [3]bool{false, true, false}}
+	c.buildIndex(nil)
+	return c
+}
+
+// edgeRefine refines every octant that touches at least two root faces, so
+// the finest leaves line the tree edges and corners, where a leaf's
+// insulation cells fall into the most exit groups.
+func edgeRefine(maxLevel int) func(tree int32, o octant.Octant) bool {
+	return func(tree int32, o octant.Octant) bool {
+		if int(o.Level) >= maxLevel {
+			return false
+		}
+		faces := 0
+		for a := 0; a < int(o.Dim); a++ {
+			if c := o.Coord(a); c == 0 || c+o.Len() == octant.RootLen {
+				faces++
+			}
+		}
+		return faces >= 2
 	}
+}
+
+// TestBuildQueriesMatchesClassical compares the query build — insulation
+// cells resolved per exit group, per cell only where a group straddles a
+// partition boundary — against the classical enumeration: every insulation
+// cell canonicalized on coordinates and every owner of its region asked.
+// The topologies include re-entrant edges of a masked brick, a tree that is
+// its own periodic neighbour, and leaves packed into tree edges and corners.
+func TestBuildQueriesMatchesClassical(t *testing.T) {
+	reentrant := func(x, y, z int) bool {
+		return !(x == 1 && y == 0 && z == 0) && !(x == 1 && y == 0 && z == 1) && !(x == 1 && y == 1 && z == 1)
+	}
+	topos := []struct {
+		name   string
+		conn   *Connectivity
+		refine func(tree int32, o octant.Octant) bool
+	}{
+		{"brick2d", NewBrick(2, 3, 2, 1, [3]bool{}), fractalRefine(4)},
+		{"periodic2d", NewBrick(2, 4, 3, 1, [3]bool{true, false, false}), fractalRefine(4)},
+		{"masked2d", NewMaskedBrick(2, 3, 3, 1, [3]bool{}, func(x, y, z int) bool { return x != 1 || y != 1 }), fractalRefine(4)},
+		{"brick3d", NewBrick(3, 2, 2, 1, [3]bool{}), fractalRefine(4)},
+		{"masked3d", NewMaskedBrick(3, 3, 3, 2, [3]bool{}, reentrant), fractalRefine(3)},
+		{"selfperiodic3d", selfPeriodicBrick(), fractalRefine(4)},
+		{"edges3d", NewBrick(3, 2, 2, 2, [3]bool{}), edgeRefine(5)},
+	}
+	var cells atomic.Int64
 	for _, topo := range topos {
 		dirs := octant.Directions(topo.conn.dim, topo.conn.dim)
 		for _, p := range []int{1, 4, 13} {
 			runForest(t, topo.conn, p, 1, func(c *comm.Comm, f *Forest) {
-				f.Refine(c, 4, fractalRefine(4))
+				f.Refine(c, 5, topo.refine)
 				f.Partition(c, nil)
 				me := c.Rank()
 				want := make(map[coordQuery]origin)
@@ -141,7 +181,15 @@ func TestBuildQueriesMatchesClassical(t *testing.T) {
 					}
 				}
 				boundary, _ := f.queryBoundaryLeaves(me, 1, serialPar)
-				set := f.buildQueries(me, boundary)
+				set, st := f.buildQueries(me, boundary)
+				cells.Add(int64(st.cells))
+				leaves := 0
+				for _, idx := range boundary {
+					leaves += len(idx)
+				}
+				if st.groups > leaves<<f.Conn.dim {
+					t.Errorf("%s P=%d rank %d: %d groups for %d boundary leaves, more than 2^d each", topo.name, p, me, st.groups, leaves)
+				}
 				if len(set.qs) != len(want) {
 					t.Errorf("%s P=%d rank %d: %d queries, classical enumeration has %d", topo.name, p, me, len(set.qs), len(want))
 					return
@@ -165,6 +213,9 @@ func TestBuildQueriesMatchesClassical(t *testing.T) {
 				}
 			})
 		}
+	}
+	if cells.Load() == 0 {
+		t.Error("no group straddled a partition boundary: the per-cell fallback went untested")
 	}
 }
 
@@ -212,7 +263,7 @@ func TestRespondQueriesWorkerInvariant(t *testing.T) {
 	runForest(t, conn, 1, 1, func(c *comm.Comm, f *Forest) {
 		f.Refine(c, 5, fractalRefine(5))
 		boundary, _ := f.queryBoundaryLeaves(0, 1, serialPar)
-		set := f.buildQueries(0, boundary)
+		set, _ := f.buildQueries(0, boundary)
 		if len(set.qs) == 0 {
 			t.Fatal("no self queries on a four-tree forest")
 		}
@@ -341,5 +392,13 @@ func TestBalanceChildSpans(t *testing.T) {
 	families := tracer.TotalCounter(obs.CounterRespondFamilies)
 	if queries == 0 || hits == 0 || families == 0 || families >= hits {
 		t.Errorf("funnel counters: %d queries, %d hits, %d families", queries, hits, families)
+	}
+	// Every boundary leaf lies below the root, so it resolves at most 2^d
+	// groups — against the 3^d − 1 cells of the per-cell enumeration.
+	leaves := tracer.TotalCounter("balance/query-leaves")
+	groups := tracer.TotalCounter(obs.CounterQueryGroups)
+	cells := tracer.TotalCounter(obs.CounterQueryCells)
+	if leaves == 0 || groups == 0 || groups > leaves<<conn.Dim() || cells > 26*leaves {
+		t.Errorf("query-build counters: %d boundary leaves, %d groups, %d fallback cells", leaves, groups, cells)
 	}
 }

@@ -283,15 +283,20 @@ func (ot *ownerTable) ownersOfRegionKey(t int32, w octant.Key) (first, last int)
 }
 
 // ownsRegionKey reports whether rank me alone owns the in-root region w of
-// tree t — ownersOfRegionKey(t, w) == (me, me) — by comparing the region's
-// extreme positions against the rank's own two partition markers, with no
-// search.
+// tree t — ownersOfRegionKey(t, w) == (me, me).
 func (ot *ownerTable) ownsRegionKey(me int, t int32, w octant.Key) bool {
+	return ot.ownsRange(me, t, w.FirstDescendant(octant.MaxLevel), w.LastDescendant(octant.MaxLevel))
+}
+
+// ownsRange reports whether rank me alone owns the MaxLevel positions first
+// through last of tree t, by comparing them against the rank's own two
+// partition markers, with no search.
+func (ot *ownerTable) ownsRange(me int, t int32, first, last octant.Key) bool {
 	lo, hi := ot.entries[me], ot.entries[me+1]
-	if t < lo.tree || (t == lo.tree && octant.KeyLess(w.FirstDescendant(octant.MaxLevel), lo.key)) {
+	if t < lo.tree || (t == lo.tree && octant.KeyLess(first, lo.key)) {
 		return false
 	}
-	return t < hi.tree || (t == hi.tree && octant.KeyLess(w.LastDescendant(octant.MaxLevel), hi.key))
+	return t < hi.tree || (t == hi.tree && octant.KeyLess(last, hi.key))
 }
 
 // OwnerOf returns the rank owning the given global position.

@@ -204,28 +204,3 @@ func PrecludingMemberKeys(r []octant.Key, s octant.Key) (int, bool) {
 	}
 	return -1, false
 }
-
-// UnionKeys merges two sorted key slices into a single sorted slice,
-// dropping exact duplicates.
-func UnionKeys(a, b []octant.Key) []octant.Key {
-	out := make([]octant.Key, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		c := octant.KeyCompare(a[i], b[j])
-		switch {
-		case c < 0:
-			out = append(out, a[i])
-			i++
-		case c > 0:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}

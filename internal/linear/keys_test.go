@@ -134,12 +134,6 @@ func TestKeysMirrorDifferential(t *testing.T) {
 			comp := Complete(root, red)
 			compKeys := CompleteKeys(octant.KeyOf(root), redKeys)
 			keysEqualOctants(t, "CompleteKeys", compKeys, comp)
-
-			// Union of two halves.
-			half := len(leaves) / 2
-			u := Union(leaves[:half], leaves[half/2:])
-			uKeys := UnionKeys(keys[:half], keys[half/2:])
-			keysEqualOctants(t, "UnionKeys", uKeys, u)
 		}
 	}
 }

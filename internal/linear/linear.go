@@ -211,28 +211,3 @@ func PrecludingMember(r []octant.Octant, s octant.Octant) (int, bool) {
 	}
 	return -1, false
 }
-
-// Union merges two sorted octant arrays into a single sorted array,
-// dropping exact duplicates.
-func Union(a, b []octant.Octant) []octant.Octant {
-	out := make([]octant.Octant, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		c := octant.Compare(a[i], b[j])
-		switch {
-		case c < 0:
-			out = append(out, a[i])
-			i++
-		case c > 0:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}

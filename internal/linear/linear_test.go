@@ -255,30 +255,6 @@ func TestOverlapRange(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	root := octant.Root(2)
-	complete := otest.RandomComplete(rng, root, 5, 0.6)
-	a := otest.RandomSubset(rng, complete, 0.5)
-	b := otest.RandomSubset(rng, complete, 0.5)
-	u := Union(a, b)
-	if !IsSorted(u) {
-		t.Fatal("Union output not sorted")
-	}
-	seen := map[octant.Octant]bool{}
-	for _, o := range u {
-		seen[o] = true
-	}
-	for _, o := range append(append([]octant.Octant{}, a...), b...) {
-		if !seen[o] {
-			t.Fatalf("Union lost %v", o)
-		}
-	}
-	if len(seen) != len(u) {
-		t.Fatal("Union produced duplicates")
-	}
-}
-
 func TestLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	root := octant.Root(2)

@@ -68,26 +68,6 @@ func TestQuickCompleteContainsInputsAsLeaves(t *testing.T) {
 	}
 }
 
-func TestQuickUnionPreservesSortedness(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		root := octant.Root(2)
-		c := otest.RandomComplete(rng, root, 5, 0.5)
-		a := otest.RandomSubset(rng, c, 0.4)
-		b := otest.RandomSubset(rng, c, 0.4)
-		u := Union(a, b)
-		if !IsSorted(u) {
-			return false
-		}
-		// Union is commutative.
-		u2 := Union(b, a)
-		return otest.Equal(u, u2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuickOverlapRangeVolume(t *testing.T) {
 	// The overlap range of a query octant over a complete octree covers
 	// exactly the query's volume.

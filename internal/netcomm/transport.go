@@ -318,14 +318,18 @@ func (p *peer) writeLoop() {
 			comm.PutBuf(frame)
 			return // transport stopped
 		}
+		// Count before writing: the peer may act on the frame before Write
+		// returns here, and whatever it observes must already be counted.
+		p.t.count(obs.CounterNetFramesSent, &p.t.framesSent, 1)
+		p.t.count(obs.CounterNetBytesSent, &p.t.bytesSent, int64(len(frame)))
 		if _, err := conn.Write(frame); err != nil {
 			// The frame's packets are lost; the reliable layer will
-			// retransmit them.  Drop the connection so the dialer side
-			// redials with a bumped generation.
+			// retransmit them.  Take the frame back off the meter and drop
+			// the connection so the dialer side redials with a bumped
+			// generation.
+			p.t.count(obs.CounterNetFramesSent, &p.t.framesSent, -1)
+			p.t.count(obs.CounterNetBytesSent, &p.t.bytesSent, -int64(len(frame)))
 			p.dropConn(conn)
-		} else {
-			p.t.count(obs.CounterNetFramesSent, &p.t.framesSent, 1)
-			p.t.count(obs.CounterNetBytesSent, &p.t.bytesSent, int64(len(frame)))
 		}
 		comm.PutBuf(frame)
 	}

@@ -39,8 +39,11 @@ const (
 // building the query lists, sending them, answering peers and the rank's own
 // inter-tree queries, waiting for and decoding the responses, regrouping the
 // responses per local leaf, reconstructing the subtrees and splicing them
-// in.  The counters give the responder's funnel: queries issued, candidate
-// (query, leaf) hits, and the hits left after collapsing sibling families.
+// in.  The counters give the query builder's work — insulation groups whose
+// owners were bracketed, and cells resolved one by one where a group
+// straddles a partition boundary — and the responder's funnel: queries
+// issued, candidate (query, leaf) hits, and the hits left after collapsing
+// sibling families.
 const (
 	SpanQueryBuild       = "query/build"
 	SpanQRSend           = "qr/send"
@@ -51,6 +54,8 @@ const (
 	SpanRebalanceSubtree = "rebalance/subtree"
 	SpanRebalanceSplice  = "rebalance/splice"
 
+	CounterQueryGroups     = "balance/query-groups"
+	CounterQueryCells      = "balance/query-cells"
 	CounterBalanceQueries  = "balance/queries"
 	CounterRespondHits     = "balance/respond-hits"
 	CounterRespondFamilies = "balance/respond-families"

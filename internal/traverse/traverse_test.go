@@ -38,7 +38,9 @@ func gradedMesh(root octant.Octant, depth int) []octant.Octant {
 	base := uniformMesh(root, 4)
 	rng := otest.NewRand(int64(depth)*977 + int64(root.Dim))
 	focusPath := otest.RandomGraded(rng, root, depth+2)
-	return linear.Linearize(linear.Union(base, focusPath))
+	all := append(base, focusPath...)
+	linear.Sort(all)
+	return linear.Linearize(all)
 }
 
 // uniformMesh returns the complete uniform refinement of root to the level.
