@@ -1,8 +1,9 @@
 // Command bench runs a workload end to end, measures the balance phases and
-// the hot kernels, and writes a machine-readable BENCH_<workload>.json
-// record (schema octbalance-bench/v1) — the perf trajectory later changes
-// are compared against.  With -trace it additionally exports the run as a
-// Chrome trace-event file (load it in chrome://tracing or Perfetto).
+// their communication volumes, and writes a machine-readable
+// BENCH_<workload>.json record (schema octbalance-bench/v1).  With -trace it
+// additionally exports the run as a Chrome trace-event file (load it in
+// chrome://tracing or Perfetto); -validate re-reads a record through the
+// schema validator.
 //
 // Examples:
 //
@@ -10,8 +11,6 @@
 //	bench -workload icesheet -ranks 16 -algo both -trace trace.json
 //	bench -workers 4 -workload fractal      # serial AND 4-worker runs
 //	bench -validate BENCH_fractal.json
-//	bench -validate BENCH_local.json -baseline results/BENCH_local.json
-//	bench -validate BENCH_ghost.json -baseline results/BENCH_ghost.json -gate-prefix Ghost
 package main
 
 import (
@@ -19,9 +18,7 @@ import (
 	"fmt"
 	"log"
 	"strings"
-	"testing"
 
-	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/stats"
 
@@ -32,28 +29,23 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bench: ")
 	var (
-		dim        = flag.Int("dim", 3, "dimension (2 or 3)")
-		ranks      = flag.Int("ranks", 8, "number of simulated ranks")
-		level      = flag.Int("level", 2, "base uniform refinement level")
-		depth      = flag.Int("depth", 4, "additional adaptive refinement depth")
-		k          = flag.Int("k", 0, "balance condition 1..dim (0 = full corner balance)")
-		workloadF  = flag.String("workload", "fractal", "workload: fractal, icesheet, random")
-		algoF      = flag.String("algo", "new", "algorithm: old, new, both")
-		notifyF    = flag.String("notify", "notify", "pattern reversal: naive, ranges, notify")
-		grid       = flag.Int("grid", 8, "ice sheet tree grid extent")
-		seed       = flag.Int64("seed", 42, "random workload seed")
-		prob       = flag.Int("prob", 22, "random workload split probability (percent)")
-		out        = flag.String("out", "", "output record path (default BENCH_<workload>.json)")
-		traceOut   = flag.String("trace", "", "also export a Chrome trace-event file to this path")
-		kernelsF   = flag.Bool("kernels", true, "run the hot-kernel micro-benchmarks")
-		netKernF   = flag.Bool("net-kernels", false, "also run the socket-transport loopback kernels (Net*)")
-		workersF   = flag.Int("workers", 0, "rank-local worker pool size; > 1 records a serial AND a parallel run per algorithm")
-		codecF     = flag.String("codec", "v0", "wire codec: v0, v1, both (both records a run per codec)")
-		poolF      = flag.Bool("pool", true, "recycle payload buffers through the comm pool")
-		validateF  = flag.String("validate", "", "validate an existing record and exit")
-		baselineF  = flag.String("baseline", "", "with -validate: baseline record; fail if gated kernel allocs/op regressed")
-		gatePrefix = flag.String("gate-prefix", "LocalBalance", "with -baseline: kernel name prefix the alloc gate compares")
-		maxRegr    = flag.Float64("max-alloc-regress", 10, "with -baseline: allowed allocs/op regression in percent")
+		dim       = flag.Int("dim", 3, "dimension (2 or 3)")
+		ranks     = flag.Int("ranks", 8, "number of simulated ranks")
+		level     = flag.Int("level", 2, "base uniform refinement level")
+		depth     = flag.Int("depth", 4, "additional adaptive refinement depth")
+		k         = flag.Int("k", 0, "balance condition 1..dim (0 = full corner balance)")
+		workloadF = flag.String("workload", "fractal", "workload: fractal, icesheet, random")
+		algoF     = flag.String("algo", "new", "algorithm: old, new, both")
+		notifyF   = flag.String("notify", "notify", "pattern reversal: naive, ranges, notify")
+		grid      = flag.Int("grid", 8, "ice sheet tree grid extent")
+		seed      = flag.Int64("seed", 42, "random workload seed")
+		prob      = flag.Int("prob", 22, "random workload split probability (percent)")
+		out       = flag.String("out", "", "output record path (default BENCH_<workload>.json)")
+		traceOut  = flag.String("trace", "", "also export a Chrome trace-event file to this path")
+		workersF  = flag.Int("workers", 0, "rank-local worker pool size; > 1 records a serial AND a parallel run per algorithm")
+		codecF    = flag.String("codec", "v0", "wire codec: v0, v1, both (both records a run per codec)")
+		poolF     = flag.Bool("pool", true, "recycle payload buffers through the comm pool")
+		validateF = flag.String("validate", "", "validate an existing record and exit")
 	)
 	flag.Parse()
 
@@ -65,26 +57,8 @@ func main() {
 		if err := rec.Validate(); err != nil {
 			log.Fatalf("%s: invalid: %v", *validateF, err)
 		}
-		fmt.Printf("%s: valid %s record (%s, %d ranks, %d runs, %d kernels)\n",
-			*validateF, rec.Schema, rec.Workload, rec.Ranks, len(rec.Runs), len(rec.Kernels))
-		if *baselineF != "" {
-			base, err := obs.ReadBenchRecord(*baselineF)
-			if err != nil {
-				log.Fatal(err)
-			}
-			// Allocation counts are deterministic for a fixed input, unlike
-			// ns/op, so they make a sharp regression gate for the gated
-			// kernels even on noisy CI machines.
-			skipped, err := obs.CompareKernelAllocs(base, rec, *gatePrefix, *maxRegr)
-			for _, name := range skipped {
-				fmt.Printf("%s: kernel %s: no baseline, skipped\n", *validateF, name)
-			}
-			if err != nil {
-				log.Fatalf("alloc regression vs %s: %v", *baselineF, err)
-			}
-			fmt.Printf("%s: %s kernel allocs/op within %.0f%% of baseline %s\n",
-				*validateF, *gatePrefix, *maxRegr, *baselineF)
-		}
+		fmt.Printf("%s: valid %s record (%s, %d ranks, %d runs)\n",
+			*validateF, rec.Schema, rec.Workload, rec.Ranks, len(rec.Runs))
 		return
 	}
 
@@ -226,33 +200,6 @@ func main() {
 	}
 	fmt.Print(tbl)
 
-	if *kernelsF || *netKernF {
-		var list []kernels.Kernel
-		if *kernelsF {
-			if err := kernels.Verify(); err != nil {
-				log.Fatal(err)
-			}
-			list = kernels.List()
-		}
-		if *netKernF {
-			// The socket kernels ride the same record and table; their Net*
-			// prefix is what -gate-prefix Net compares in CI.
-			list = append(list, kernels.NetList()...)
-		}
-		ktbl := stats.NewTable("hot kernels", "kernel", "ns/op", "iters")
-		for _, kn := range list {
-			kn := kn
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				kn.Fn(b)
-			})
-			kr := kernelResult(kn.Name, r)
-			rec.Kernels = append(rec.Kernels, kr)
-			ktbl.AddRow(kn.Name, kr.NsPerOp, kr.Iterations)
-		}
-		fmt.Printf("\n%s", ktbl)
-	}
-
 	path := *out
 	if path == "" {
 		path = "BENCH_" + *workloadF + ".json"
@@ -261,23 +208,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nrecord: %s\n", path)
-}
-
-// kernelResult converts a raw benchmark result, preferring the rescaled
-// per-call ns/op that the kernels report via ReportMetric over the
-// per-iteration wall time.
-func kernelResult(name string, r testing.BenchmarkResult) obs.KernelResult {
-	ns := float64(r.T.Nanoseconds()) / float64(r.N)
-	if v, ok := r.Extra["ns/op"]; ok {
-		ns = v
-	}
-	return obs.KernelResult{
-		Name:        name,
-		NsPerOp:     ns,
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		Iterations:  r.N,
-	}
 }
 
 // insertSuffix inserts s before the path's extension: trace.json ->

@@ -143,6 +143,20 @@ func TestSubtreeNewKeysInvalidCodimensionPanics(t *testing.T) {
 	}
 }
 
+// TestSubtreeNewKeysAllocsBounded bounds the allocations of the packed-key
+// subtree balance on the canned chunk: seven fixed ones (reduced input and
+// its flags, the two arrays of the key set, worklist, merged set,
+// completion) plus two per doubling of the key set, whatever the number of
+// octants.  The hash maps this replaced allocated 22 times on this input.
+func TestSubtreeNewKeysAllocsBounded(t *testing.T) {
+	keys := octant.AppendKeys(nil, otest.CannedLeaves(t, 3, 4))
+	root := octant.KeyOf(octant.Root(3))
+	allocs := testing.AllocsPerRun(10, func() { SubtreeNewKeys(root, keys, 3) })
+	if allocs > 11 {
+		t.Fatalf("SubtreeNewKeys on the canned chunk: %v allocations, want at most 11", allocs)
+	}
+}
+
 // FuzzSubtreeNewKeys decodes the input bytes into (dim, k, subtree root,
 // random subset of a random complete tree of that root) and checks the key
 // path leaf for leaf against the struct oracle SubtreeNew, plus the

@@ -62,12 +62,6 @@ func (tc *TreeChunk) Octants() []octant.Octant {
 	return octant.AppendOctants(make([]octant.Octant, 0, len(tc.Leaves)), tc.Leaves)
 }
 
-// NewTreeChunk packs a sorted octant slice into a packed-key chunk — the
-// inverse conversion edge of Octants.
-func NewTreeChunk(tree int32, leaves []octant.Octant) TreeChunk {
-	return TreeChunk{Tree: tree, Leaves: octant.AppendKeys(make([]octant.Key, 0, len(leaves)), leaves)}
-}
-
 // Forest is one rank's view of a distributed forest of octrees.  All
 // methods taking a *comm.Comm are collective: every rank of the world must
 // call them in the same order.
@@ -88,9 +82,9 @@ type Forest struct {
 	NumGlobal int64
 
 	// Wire selects the payload encoding of the forest-level exchanges that
-	// are not configured per call (ghost construction, ghost data, partition
-	// transfers); Balance takes its codec from BalanceOptions.  The zero
-	// value is the legacy WireV0 format.
+	// are not configured per call (ghost construction, partition transfers);
+	// Balance takes its codec from BalanceOptions.  The zero value is the
+	// legacy WireV0 format.
 	Wire comm.WireCodec
 
 	// Workers bounds the rank-local worker pool of the forest-level local

@@ -106,8 +106,7 @@ func (f *Forest) ghostPrunable(ot *ownerTable, dirs []octant.Dir, buf []octant.K
 // replaces the per-rank hash dedup, making the schedule — sorted by (rank,
 // tree, curve position) — bit-identical to the scan at any worker count.
 // Top-level subtree tasks fan out over the rank-local worker pool when
-// f.Workers asks for one.  Exported for the kernel micro-benchmarks and
-// the differential tests.
+// f.Workers asks for one.  Exported for the differential tests.
 func (f *Forest) GhostScan(me int) ([]GhostSend, traverse.Stats) {
 	dirs := octant.Directions(f.Conn.dim, f.Conn.dim)
 	rootKey := octant.KeyOf(octant.Root(f.Conn.dim))
@@ -282,81 +281,4 @@ func (f *Forest) adjacentToLocal(t int32, o octant.Octant) bool {
 		}
 	}
 	return false
-}
-
-// Mirrors returns the local leaves that appear in other ranks' ghost
-// layers (the senders of a ghost data exchange), grouped by the peer rank
-// that needs them.  It is the send schedule of GhostScan regrouped, and
-// therefore matches the peers' ghost sets exactly.
-func (f *Forest) Mirrors(c *comm.Comm) map[int][]GhostOctant {
-	sends, _ := f.GhostScan(c.Rank())
-	out := make(map[int][]GhostOctant)
-	for _, s := range sends {
-		out[s.Rank] = append(out[s.Rank], GhostOctant{Tree: s.Tree, Oct: s.Oct, Owner: c.Rank()})
-	}
-	return out
-}
-
-const tagGhostData = 103
-
-// ExchangeData transfers per-leaf payloads to the ranks that hold those
-// leaves as ghosts (the analogue of p4est_ghost_exchange_data): payload is
-// called for every local leaf that some peer needs; the result maps each
-// ghost octant of this rank's ghost layer to the payload provided by its
-// owner.  Collective; must be called with the ghost layer this rank built
-// on the current forest.
-//
-// Payloads that a peer sends speculatively (because the owner search is
-// region-based) but that are not in this rank's ghost layer are dropped.
-func (f *Forest) ExchangeData(c *comm.Comm, ghost *GhostLayer, payload func(tree int32, o octant.Octant) []byte) map[GhostOctant][]byte {
-	c.SetPhase("ghost-data")
-	mirrors := f.Mirrors(c)
-	peers := make([]int, 0, len(mirrors))
-	for rank := range mirrors {
-		peers = append(peers, rank)
-	}
-	slices.Sort(peers)
-	senders := notify.NotifyCodec(c, peers, f.Wire)
-	dim := int8(f.Conn.dim)
-	for _, rank := range peers {
-		ms := mirrors[rank]
-		slices.SortFunc(ms, compareGhostOctants)
-		enc := wireEnc{b: comm.GetBuf(), codec: f.Wire, dim: dim}
-		for _, m := range ms {
-			enc.tree(m.Tree)
-			enc.oct(m.Oct)
-			enc.bytes(payload(m.Tree, m.Oct))
-		}
-		c.AddRawBytes(enc.raw)
-		c.Send(rank, tagGhostData, enc.b)
-	}
-	// Index the ghost layer for acceptance filtering.
-	inGhost := make(map[GhostOctant]bool, len(ghost.Octants))
-	for _, g := range ghost.Octants {
-		inGhost[g] = true
-	}
-	out := make(map[GhostOctant][]byte)
-	for _, rank := range senders {
-		data := c.Recv(rank, tagGhostData)
-		d := wireDec{b: data, codec: f.Wire, dim: dim}
-		for d.more() {
-			t := d.tree()
-			o := d.oct()
-			body := d.bytes()
-			if d.err != nil {
-				break
-			}
-			g := GhostOctant{Tree: t, Oct: o, Owner: rank}
-			if inGhost[g] {
-				out[g] = body
-			}
-		}
-		if d.err != nil {
-			panic("forest: corrupt ghost-data payload: " + d.err.Error())
-		}
-		// The bodies kept in out alias data, so the receive buffer must NOT
-		// be recycled here; it is retained by the caller's result map.
-	}
-	c.SetPhase("default")
-	return out
 }

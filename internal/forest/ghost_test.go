@@ -156,80 +156,3 @@ func TestGhostOwnersAndSorting(t *testing.T) {
 		}
 	}
 }
-
-func TestExchangeDataDeliversAllGhosts(t *testing.T) {
-	// Every ghost octant must receive its owner's payload, and the
-	// payload must identify the correct (tree, octant, owner).
-	conn := NewBrick(2, 2, 2, 1, [3]bool{})
-	p := 5
-	type result struct {
-		ghost *GhostLayer
-		data  map[GhostOctant][]byte
-	}
-	results := make([]result, p)
-	runForest(t, conn, p, 1, func(c *comm.Comm, f *Forest) {
-		f.Refine(c, 4, fractalRefine(4))
-		f.Partition(c, nil)
-		f.Balance(c, 2, BalanceOptions{})
-		g := f.BuildGhost(c)
-		data := f.ExchangeData(c, g, func(tree int32, o octant.Octant) []byte {
-			// Payload encodes the leaf identity plus the sender rank.
-			var b []byte
-			b = comm.AppendInt32(b, tree)
-			b = comm.AppendInt32(b, o.X)
-			b = comm.AppendInt32(b, o.Y)
-			b = comm.AppendInt32(b, int32(c.Rank()))
-			return b
-		})
-		results[c.Rank()] = result{ghost: g, data: data}
-	})
-	for r := 0; r < p; r++ {
-		res := results[r]
-		if len(res.data) != res.ghost.NumGhosts() {
-			t.Fatalf("rank %d: %d payloads for %d ghosts", r, len(res.data), res.ghost.NumGhosts())
-		}
-		for _, g := range res.ghost.Octants {
-			b, ok := res.data[g]
-			if !ok {
-				t.Fatalf("rank %d: ghost %v has no payload", r, g)
-			}
-			tr, off := comm.Int32At(b, 0)
-			x, off := comm.Int32At(b, off)
-			y, off := comm.Int32At(b, off)
-			owner, _ := comm.Int32At(b, off)
-			if tr != g.Tree || x != g.Oct.X || y != g.Oct.Y || int(owner) != g.Owner {
-				t.Fatalf("rank %d: payload mismatch for %v: tree %d (%d,%d) from %d",
-					r, g, tr, x, y, owner)
-			}
-		}
-	}
-}
-
-func TestMirrorsMatchPeerGhosts(t *testing.T) {
-	// Rank a's mirror list for rank b must contain (at least) every leaf
-	// of a that appears in b's ghost layer.
-	conn := NewBrick(2, 3, 1, 1, [3]bool{})
-	p := 4
-	ghosts := make([]*GhostLayer, p)
-	mirrors := make([]map[int][]GhostOctant, p)
-	runForest(t, conn, p, 2, func(c *comm.Comm, f *Forest) {
-		f.Balance(c, 2, BalanceOptions{})
-		ghosts[c.Rank()] = f.BuildGhost(c)
-		mirrors[c.Rank()] = f.Mirrors(c)
-	})
-	for b := 0; b < p; b++ {
-		for _, g := range ghosts[b].Octants {
-			a := g.Owner
-			found := false
-			for _, m := range mirrors[a][b] {
-				if m.Tree == g.Tree && m.Oct == g.Oct {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("rank %d ghost %v not in rank %d's mirror list", b, g, a)
-			}
-		}
-	}
-}

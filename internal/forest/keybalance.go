@@ -47,13 +47,3 @@ func clipToRangeKeys(keys []octant.Key, first, last octant.Key) []octant.Key {
 	}
 	return keys[lo:hi]
 }
-
-// BalanceChunksKeys applies localBalanceChunkKeys to independent leaf
-// ranges with the given worker count, replacing each chunks[i] by its
-// balanced, range-clipped form.  Exported for the kernel micro-benchmarks;
-// phase 1 of Balance runs the same per-chunk code over its local chunks.
-func BalanceChunksKeys(chunks [][]octant.Key, k, workers int) {
-	parallelFor(workers, len(chunks), func(i int) {
-		chunks[i] = localBalanceChunkKeys(chunks[i], k)
-	})
-}

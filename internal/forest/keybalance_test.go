@@ -62,9 +62,10 @@ func randomChunks(rng *rand.Rand, dim, depth, chunks int) [][]octant.Octant {
 	return out
 }
 
-// TestBalanceChunksKeysMatchesStruct pins the key Local balance chunk for
-// chunk to the struct oracle built inline: balance.SubtreeNew on the
-// chunk's nearest common ancestor, clipped by the per-octant filter.
+// TestBalanceChunksKeysMatchesStruct pins the key Local balance, run on a
+// 4-worker pool, chunk for chunk to the struct oracle built inline:
+// balance.SubtreeNew on the chunk's nearest common ancestor, clipped by the
+// per-octant filter.
 func TestBalanceChunksKeysMatchesStruct(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, dim := range []int{2, 3} {
@@ -74,7 +75,9 @@ func TestBalanceChunksKeysMatchesStruct(t *testing.T) {
 			for i := range a {
 				b[i] = octant.AppendKeys(nil, a[i])
 			}
-			BalanceChunksKeys(b, dim, 4)
+			parallelFor(4, len(b), func(i int) {
+				b[i] = localBalanceChunkKeys(b[i], dim)
+			})
 			for i, ch := range a {
 				first, last := ch[0], ch[len(ch)-1]
 				want := ch

@@ -189,13 +189,6 @@ func (e *wireEnc) oct(o octant.Octant) {
 	e.prev = o
 }
 
-// bytes appends a length-prefixed opaque blob.
-func (e *wireEnc) bytes(p []byte) {
-	e.count(len(p))
-	e.raw += len(p)
-	e.b = append(e.b, p...)
-}
-
 // wireDec walks one payload in the selected codec.  Errors are sticky: the
 // first malformed field records err and pins the offset to the end, so
 // callers can decode a whole payload and check err once.  Wire payloads on
@@ -354,18 +347,6 @@ func (d *wireDec) keys() []octant.Key {
 		return nil
 	}
 	return keys
-}
-
-// bytes decodes a length-prefixed opaque blob.  The result aliases the
-// payload buffer; callers retaining it must not recycle the buffer.
-func (d *wireDec) bytes() []byte {
-	n := d.count(1)
-	if d.err != nil {
-		return nil
-	}
-	p := d.b[d.off : d.off+n]
-	d.off += n
-	return p
 }
 
 // EncodeKeyList encodes one self-contained key list, appending to b.

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"strings"
 )
 
 // This file defines the machine-readable benchmark record written by
@@ -18,20 +17,18 @@ import (
 const BenchSchema = "octbalance-bench/v1"
 
 // BenchRecord is one benchmark invocation: a workload configuration, one
-// BenchRun per balance algorithm, kernel micro-benchmark results and the
-// execution environment.
+// BenchRun per balance algorithm and the execution environment.
 type BenchRecord struct {
-	Schema    string         `json:"schema"`
-	Workload  string         `json:"workload"`
-	Dim       int            `json:"dim"`
-	Ranks     int            `json:"ranks"`
-	K         int            `json:"k"`
-	Notify    string         `json:"notify"`
-	BaseLevel int            `json:"base_level"`
-	MaxLevel  int            `json:"max_level"`
-	Runs      []BenchRun     `json:"runs"`
-	Kernels   []KernelResult `json:"kernels,omitempty"`
-	Env       EnvInfo        `json:"env"`
+	Schema    string     `json:"schema"`
+	Workload  string     `json:"workload"`
+	Dim       int        `json:"dim"`
+	Ranks     int        `json:"ranks"`
+	K         int        `json:"k"`
+	Notify    string     `json:"notify"`
+	BaseLevel int        `json:"base_level"`
+	MaxLevel  int        `json:"max_level"`
+	Runs      []BenchRun `json:"runs"`
+	Env       EnvInfo    `json:"env"`
 }
 
 // BenchRun reports one balance execution: octant counts, the per-phase
@@ -79,15 +76,6 @@ type NetVolume struct {
 	DupsDropped        int64 `json:"dups_dropped"`
 	WireBytes          int64 `json:"wire_bytes"`
 	BackpressureStalls int64 `json:"backpressure_stalls"`
-}
-
-// KernelResult is one hot-kernel micro-benchmark measurement.
-type KernelResult struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Iterations  int     `json:"iterations"`
 }
 
 // EnvInfo pins the execution environment of a record.
@@ -141,17 +129,6 @@ func (r *BenchRecord) Validate() error {
 			return fmt.Errorf("run %d (%s): no comm volumes", i, run.Algo)
 		}
 	}
-	for _, k := range r.Kernels {
-		if k.Name == "" {
-			return fmt.Errorf("kernel with empty name")
-		}
-		if !(k.NsPerOp > 0) || math.IsInf(k.NsPerOp, 0) {
-			return fmt.Errorf("kernel %s: ns_per_op %v not positive finite", k.Name, k.NsPerOp)
-		}
-		if k.Iterations < 1 {
-			return fmt.Errorf("kernel %s: iterations %d < 1", k.Name, k.Iterations)
-		}
-	}
 	return nil
 }
 
@@ -182,43 +159,6 @@ func (run BenchRun) validate() error {
 		return fmt.Errorf("negative comm totals")
 	}
 	return nil
-}
-
-// CompareKernelAllocs gates allocation regressions: every kernel of cur
-// whose name starts with prefix and that also exists in baseline must not
-// allocate more than maxRegressPct percent over the baseline record.
-// Allocation counts are deterministic for a fixed input — unlike ns/op,
-// which wobbles with machine load — so they make a sharp CI gate for the
-// local-balance hot path.  Kernels matching the prefix but absent from the
-// baseline are NOT compared; they come back in skipped so the caller can
-// say so explicitly — a silently vacuous gate once hid exactly the
-// regression it existed to catch.  An empty prefix gates every kernel.
-func CompareKernelAllocs(baseline, cur *BenchRecord, prefix string, maxRegressPct float64) (skipped []string, err error) {
-	base := make(map[string]KernelResult, len(baseline.Kernels))
-	for _, k := range baseline.Kernels {
-		base[k.Name] = k
-	}
-	compared := 0
-	for _, k := range cur.Kernels {
-		if !strings.HasPrefix(k.Name, prefix) {
-			continue
-		}
-		b, ok := base[k.Name]
-		if !ok {
-			skipped = append(skipped, k.Name)
-			continue
-		}
-		compared++
-		limit := float64(b.AllocsPerOp) * (1 + maxRegressPct/100)
-		if float64(k.AllocsPerOp) > limit {
-			return skipped, fmt.Errorf("kernel %s: %d allocs/op exceeds baseline %d by more than %.0f%%",
-				k.Name, k.AllocsPerOp, b.AllocsPerOp, maxRegressPct)
-		}
-	}
-	if compared == 0 {
-		return skipped, fmt.Errorf("no kernels matching prefix %q common to both records — the gate compared nothing", prefix)
-	}
-	return skipped, nil
 }
 
 // WriteBenchRecord validates and writes the record as indented JSON.

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/kernels"
 	"repro/internal/obs"
 )
 
@@ -22,8 +21,7 @@ func validRecord() *obs.BenchRecord {
 			Comm:          map[string]obs.CommVolume{"notify": {Messages: 10, Bytes: 200}},
 			TotalMessages: 10, TotalBytes: 200,
 		}},
-		Kernels: []obs.KernelResult{{Name: "MortonEncode", NsPerOp: 12.5, Iterations: 1000}},
-		Env:     obs.CurrentEnv(),
+		Env: obs.CurrentEnv(),
 	}
 }
 
@@ -68,8 +66,6 @@ func TestBenchRecordValidateRejects(t *testing.T) {
 		{"imbalance", func(r *obs.BenchRecord) {
 			r.Runs[0].Phases["local-balance"] = obs.Summary{Min: 1, Mean: 2, Max: 3, Imbalance: 0.5}
 		}, "imbalance"},
-		{"kernel-ns", func(r *obs.BenchRecord) { r.Kernels[0].NsPerOp = 0 }, "ns_per_op"},
-		{"kernel-iters", func(r *obs.BenchRecord) { r.Kernels[0].Iterations = 0 }, "iterations"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -92,103 +88,5 @@ func TestWriteBenchRecordRefusesInvalid(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.json")
 	if err := obs.WriteBenchRecord(path, rec); err == nil {
 		t.Fatal("WriteBenchRecord wrote an invalid record")
-	}
-}
-
-// kernelRecord builds a minimal valid record carrying the given kernels.
-func kernelRecord(names ...string) *obs.BenchRecord {
-	r := validRecord()
-	r.Kernels = nil
-	for _, n := range names {
-		r.Kernels = append(r.Kernels, obs.KernelResult{
-			Name: n, NsPerOp: 10, AllocsPerOp: 4, Iterations: 100,
-		})
-	}
-	return r
-}
-
-func TestCompareKernelAllocs(t *testing.T) {
-	base := kernelRecord("LocalBalanceSerial", "LocalBalancePar4")
-
-	t.Run("passes within limit", func(t *testing.T) {
-		cur := kernelRecord("LocalBalanceSerial", "LocalBalancePar4")
-		skipped, err := obs.CompareKernelAllocs(base, cur, "LocalBalance", 10)
-		if err != nil || len(skipped) != 0 {
-			t.Fatalf("skipped %v, err %v; want none", skipped, err)
-		}
-	})
-
-	t.Run("fails on regression", func(t *testing.T) {
-		cur := kernelRecord("LocalBalanceSerial")
-		cur.Kernels[0].AllocsPerOp = 50
-		if _, err := obs.CompareKernelAllocs(base, cur, "LocalBalance", 10); err == nil {
-			t.Fatal("regression not flagged")
-		}
-	})
-
-	t.Run("reports kernels missing from baseline as skipped", func(t *testing.T) {
-		cur := kernelRecord("LocalBalanceSerial", "LocalBalanceKeysSerial", "LocalBalanceKeysPar4")
-		skipped, err := obs.CompareKernelAllocs(base, cur, "LocalBalance", 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := []string{"LocalBalanceKeysSerial", "LocalBalanceKeysPar4"}
-		if !reflect.DeepEqual(skipped, want) {
-			t.Fatalf("skipped %v, want %v", skipped, want)
-		}
-	})
-
-	t.Run("errors when nothing compared", func(t *testing.T) {
-		cur := kernelRecord("SortKeys")
-		skipped, err := obs.CompareKernelAllocs(base, cur, "Sort", 10)
-		if err == nil {
-			t.Fatal("vacuous gate not flagged")
-		}
-		if !reflect.DeepEqual(skipped, []string{"SortKeys"}) {
-			t.Fatalf("skipped %v, want [SortKeys]", skipped)
-		}
-	})
-}
-
-// TestCommittedBaselinesGateCurrentKernels loads the four committed records
-// CI's alloc gates use as baselines (older ones carry keys this schema no
-// longer has, such as "repr"; they must still load and validate) and checks
-// that every -gate-prefix CI names still compares at least one kernel that
-// cmd/bench measures today — a gate whose kernels were all deleted would
-// otherwise only fail in CI.
-func TestCommittedBaselinesGateCurrentKernels(t *testing.T) {
-	current := make(map[string]bool)
-	for _, k := range append(kernels.List(), kernels.NetList()...) {
-		current[k.Name] = true
-	}
-	cases := []struct {
-		file     string
-		prefixes []string
-	}{
-		{"BENCH_local.json", []string{"LocalBalance", "Morton", "Sort", "LowerBound", "OverlapRange", "KeyCarry3", "KeyBatch"}},
-		{"BENCH_wire.json", []string{"Wire"}},
-		{"BENCH_ghost.json", []string{"Traverse", "Ghost"}},
-		{"BENCH_net.json", []string{"Net"}},
-	}
-	for _, c := range cases {
-		base, err := obs.ReadBenchRecord(filepath.Join("..", "..", "results", c.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := base.Validate(); err != nil {
-			t.Fatalf("%s: %v", c.file, err)
-		}
-		cur := *base
-		cur.Kernels = nil
-		for _, k := range base.Kernels {
-			if current[k.Name] {
-				cur.Kernels = append(cur.Kernels, k)
-			}
-		}
-		for _, prefix := range c.prefixes {
-			if _, err := obs.CompareKernelAllocs(base, &cur, prefix, 0); err != nil {
-				t.Errorf("%s, prefix %q: %v", c.file, prefix, err)
-			}
-		}
 	}
 }

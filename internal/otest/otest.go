@@ -21,6 +21,7 @@ package otest
 
 import (
 	"math/rand"
+	"testing"
 
 	"repro/internal/octant"
 )
@@ -122,6 +123,37 @@ func RandomOctant(rng *rand.Rand, dim, minLevel, maxLevel int) octant.Octant {
 		}
 	}
 	return octant.FromMortonIndex(dim, l, idx)
+}
+
+// CannedLeaves returns the deterministic fractal leaf set the allocation
+// tests run on: FractalRefiner(maxLevel) applied to a single tree from its
+// root.  It fails tb unless the set has at least 100 leaves and is strictly
+// sorted and linear, so an allocation bound measured on it cannot pass on
+// an input that does no work.
+func CannedLeaves(tb testing.TB, dim, maxLevel int) []octant.Octant {
+	tb.Helper()
+	split := FractalRefiner(maxLevel)
+	var out []octant.Octant
+	var rec func(o octant.Octant)
+	rec = func(o octant.Octant) {
+		if !split(0, o) {
+			out = append(out, o)
+			return
+		}
+		for ci := 0; ci < octant.NumChildren(dim); ci++ {
+			rec(o.Child(ci))
+		}
+	}
+	rec(octant.Root(dim))
+	if len(out) < 100 {
+		tb.Fatalf("canned leaf set has only %d leaves", len(out))
+	}
+	for i := 1; i < len(out); i++ {
+		if octant.Compare(out[i-1], out[i]) >= 0 || out[i-1].IsAncestor(out[i]) {
+			tb.Fatalf("canned leaf set not sorted and linear at %d", i)
+		}
+	}
+	return out
 }
 
 // RefineFunc is the predicate shape of Forest.Refine: pure in (tree, o).

@@ -125,8 +125,6 @@ type (
 	BenchRecord = obs.BenchRecord
 	// BenchRun is one balance execution inside a BenchRecord.
 	BenchRun = obs.BenchRun
-	// KernelResult is one hot-kernel micro-benchmark measurement.
-	KernelResult = obs.KernelResult
 )
 
 var (
