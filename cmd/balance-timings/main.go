@@ -37,7 +37,7 @@ func main() {
 		grid      = flag.Int("grid", 8, "ice sheet tree grid extent")
 		seed      = flag.Int64("seed", 42, "random workload seed")
 		prob      = flag.Int("prob", 22, "random workload split probability (percent)")
-		workersF  = flag.Int("workers", 0, "rank-local worker pool size (0 = serial, -1 = one per CPU)")
+		workersF  = flag.Int("workers", 0, "rank-local worker pool size (0 = the CPUs shared among the ranks, 1 = serial, -1 = one per CPU)")
 		jsonOut   = flag.String("json", "", "also write the runs as a bench record to this path")
 	)
 	flag.Parse()

@@ -144,7 +144,7 @@ func main() {
 	// With -workers N > 1 every algorithm runs twice — serial, then with the
 	// rank-local worker pool — so the record carries its own serial-vs-
 	// parallel comparison (the forest must be bit-identical either way).
-	workerCounts := []int{0}
+	workerCounts := []int{1}
 	if *workersF > 1 {
 		workerCounts = append(workerCounts, *workersF)
 	}

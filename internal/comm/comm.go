@@ -637,6 +637,13 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the world.
 func (c *Comm) Size() int { return c.world.size }
 
+// LocalRanks returns how many ranks this process hosts: the width of the
+// world's LocalSpan (Size for a single-process world).
+func (c *Comm) LocalRanks() int {
+	lo, hi := c.world.LocalSpan()
+	return hi - lo
+}
+
 // SetPhase labels subsequent traffic for statistics attribution.  Phase
 // entry is also a crash-injection site: an armed crash point targeting
 // this phase with AfterOps == 0 fires here, which is how zero-traffic

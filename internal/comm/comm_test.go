@@ -29,6 +29,28 @@ func TestSendRecv(t *testing.T) {
 	}
 }
 
+// TestLocalRanks checks every rank sees the width of the span its process
+// hosts: the whole world under Run, the span under RunRanks.
+func TestLocalRanks(t *testing.T) {
+	w := NewWorld(4)
+	defer w.Close()
+	var all, span [4]atomic.Int32
+	w.Run(func(c *Comm) { all[c.Rank()].Store(int32(c.LocalRanks())) })
+	w.RunRanks(1, 3, func(c *Comm) { span[c.Rank()].Store(int32(c.LocalRanks())) })
+	for r := range all {
+		if got := all[r].Load(); got != 4 {
+			t.Errorf("rank %d under Run: LocalRanks = %d, want 4", r, got)
+		}
+		want := int32(0) // ranks outside the span do not run
+		if r == 1 || r == 2 {
+			want = 2
+		}
+		if got := span[r].Load(); got != want {
+			t.Errorf("rank %d under RunRanks(1, 3): recorded %d, want %d", r, got, want)
+		}
+	}
+}
+
 func TestRecvOutOfOrderTags(t *testing.T) {
 	// A receiver asking for tag B first must still get tag A later.
 	w := NewWorld(2)

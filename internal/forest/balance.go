@@ -98,7 +98,10 @@ type BalanceOptions struct {
 	RemoteStage StageOverride
 	// Workers bounds the rank-local worker pool that the local pipeline
 	// stages (per-tree subtree balance, query responses, the rebalance
-	// subtree reconstruction and merge) fan out over.  0 and 1 run
+	// subtree reconstruction and merge) fan out over.  0 (the default)
+	// splits the CPUs among the ranks this process hosts:
+	// max(1, GOMAXPROCS / Comm.LocalRanks()) workers, so a single rank
+	// uses every core and one rank per core runs serially.  1 runs
 	// serially on the rank's own goroutine; n > 1 uses a pool of n
 	// goroutines; a negative value uses one worker per available CPU.
 	// The balanced forest is bit-identical at every worker count.
@@ -293,7 +296,7 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	root := octant.Root(f.Conn.dim)
 	localAlgo := opt.LocalStage.resolve(opt.Algo)
 	remoteAlgo := opt.RemoteStage.resolve(opt.Algo)
-	workers := opt.workerCount()
+	workers := opt.workerCount(c.LocalRanks())
 	tr, me := c.Tracer(), c.Rank()
 	if workers > 1 {
 		tr.ObserveMax(me, obs.GaugeLocalWorkers, int64(workers))
@@ -858,22 +861,27 @@ type respondStats struct {
 	hits, families int
 }
 
-// regroupHits turns the traversal's hit list into one contiguous run per
+// regroupHits turns the traversal's hit lists into one contiguous run per
 // query: lis[off[qi]:off[qi+1]] are the leaf indices matched by query qi.
-// The traversal emits hits in curve order, so a stable counting sort on the
-// query index leaves every run ascending without comparing anything.
-func regroupHits(hits []respHit, nq int) (lis, off []int32) {
+// The lists are read in place, in order; the traversal emits each in curve
+// order, so a stable counting sort on the query index leaves every run
+// ascending without comparing anything.
+func regroupHits(lists [][]respHit, nq int) (lis, off []int32) {
 	off = make([]int32, nq+1)
-	for _, h := range hits {
-		off[h.qi+1]++
+	for _, hits := range lists {
+		for _, h := range hits {
+			off[h.qi+1]++
+		}
 	}
 	for qi := 0; qi < nq; qi++ {
 		off[qi+1] += off[qi]
 	}
-	lis = make([]int32, len(hits))
-	for _, h := range hits {
-		lis[off[h.qi]] = h.li
-		off[h.qi]++
+	lis = make([]int32, off[nq])
+	for _, hits := range lists {
+		for _, h := range hits {
+			lis[off[h.qi]] = h.li
+			off[h.qi]++
+		}
 	}
 	// Every off[qi] has walked from the start of run qi to its end, which is
 	// the start of run qi+1: shift the offsets back into place.
@@ -904,7 +912,7 @@ func (f *Forest) respondQueries(qs []query, k int, algo Algo, workers int, par f
 		maxTasks = 4 * workers
 	}
 	byTree := func(q query, t int32) int { return cmp.Compare(q.tree, t) }
-	var hits []respHit
+	var hitLists [][]respHit
 	for ci := range f.Local {
 		tc := &f.Local[ci]
 		qlo, _ := slices.BinarySearchFunc(qs, tc.Tree, byTree)
@@ -931,22 +939,31 @@ func (f *Forest) respondQueries(qs []query, k int, algo Algo, workers int, par f
 			}, &taskStats[i])
 			taskHits[i] = out
 		})
+		hitLists = append(hitLists, taskHits...)
 		for i := range tasks {
-			hits = append(hits, taskHits[i]...)
 			st.Merge(taskStats[i])
 		}
 	}
-	lis, off := regroupHits(hits, len(qs))
-	st.hits += len(hits)
+	lis, off := regroupHits(hitLists, len(qs))
+	st.hits += len(lis)
 
 	// Each block of queries appends its responses back to back into one
 	// arena and hands out sub-slices once the arena has stopped growing.
+	// The seed scratch goes from block to block through a free list, so no
+	// more of them grow than blocks run at once; at most workers blocks run
+	// at once, so the list's buffer holds every scratch.
 	blocks := min(maxTasks, len(qs))
 	families := make([]int, blocks)
+	free := make(chan *respScratch, workers)
 	par(blocks, func(b int) {
 		lo, hi := b*len(qs)/blocks, (b+1)*len(qs)/blocks
 		var arena []octant.Key
-		var scratch []octant.Octant
+		var scratch *respScratch
+		select {
+		case scratch = <-free:
+		default:
+			scratch = new(respScratch)
+		}
 		ends := make([]int, 0, hi-lo)
 		ci, fam := 0, 0
 		for qi := lo; qi < hi; qi++ {
@@ -955,10 +972,14 @@ func (f *Forest) respondQueries(qs []query, k int, algo Algo, workers int, par f
 					ci++
 				}
 				var n int
-				arena, scratch, n = appendResponse(arena, scratch, f.Local[ci].Leaves, run, qs[qi].r, k, algo)
+				arena, n = appendResponse(arena, scratch, f.Local[ci].Leaves, run, qs[qi].r, k, algo)
 				fam += n
 			}
 			ends = append(ends, len(arena))
+		}
+		select {
+		case free <- scratch:
+		default:
 		}
 		families[b] = fam
 		start := 0
@@ -977,23 +998,30 @@ func (f *Forest) respondQueries(qs []query, k int, algo Algo, workers int, par f
 	return results
 }
 
+// respScratch is the reusable buffer space of appendResponse: the seeds
+// of one query, and their keys while they are sorted and deduplicated.
+type respScratch struct {
+	seeds []octant.Octant
+	keys  []octant.Key
+}
+
 // appendResponse appends to arena the response to query octant r given its
 // candidate leaves, leaves[li] for the ascending indices li of run, and
 // returns how many candidates it had to evaluate.  The old algorithm answers
 // with the candidates themselves.  The new one answers with the union of
 // their seeds within r, sorted and without repeats; Tk(o) is the same tree
 // for every sibling of o (Section IV), so consecutive hits of one sibling
-// family — adjacent in curve order — cost a single seed computation.
-// scratch is the caller's reusable seed buffer.
-func appendResponse(arena []octant.Key, scratch []octant.Octant, leaves []octant.Key, run []int32, r octant.Key, k int, algo Algo) ([]octant.Key, []octant.Octant, int) {
+// family — adjacent in curve order — cost a single seed computation.  The
+// union is formed in sc, so arena grows by the response alone.
+func appendResponse(arena []octant.Key, sc *respScratch, leaves []octant.Key, run []int32, r octant.Key, k int, algo Algo) ([]octant.Key, int) {
 	if algo != AlgoNew {
 		for _, li := range run {
 			arena = append(arena, leaves[li])
 		}
-		return arena, scratch, len(run)
+		return arena, len(run)
 	}
 	ro := r.Octant()
-	scratch = scratch[:0]
+	sc.seeds = sc.seeds[:0]
 	families := 0
 	var family octant.Key // parent of the previous hit
 	for _, li := range run {
@@ -1001,13 +1029,12 @@ func appendResponse(arena []octant.Key, scratch []octant.Octant, leaves []octant
 		if p := o.Parent(); p != family {
 			family = p
 			families++
-			scratch, _ = balance.AppendSeeds(scratch, o.Octant(), ro, k)
+			sc.seeds, _ = balance.AppendSeeds(sc.seeds, o.Octant(), ro, k)
 		}
 	}
-	start := len(arena)
-	arena = octant.AppendKeys(arena, scratch)
-	linear.SortKeys(arena[start:])
-	return arena[:start+len(slices.Compact(arena[start:]))], scratch, families
+	sc.keys = octant.AppendKeys(sc.keys[:0], sc.seeds)
+	linear.SortKeys(sc.keys)
+	return append(arena, slices.Compact(sc.keys)...), families
 }
 
 // rebalanceJob is one unit of the paper's Local rebalance: the seeds

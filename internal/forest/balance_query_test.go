@@ -221,7 +221,8 @@ func TestBuildQueriesMatchesClassical(t *testing.T) {
 
 // TestRegroupHitsMatchesSort checks the counting-sort regroup against a
 // comparison sort on (query, leaf) for hit lists in traversal order —
-// ascending leaf index, several queries per leaf.
+// ascending leaf index, several queries per leaf — cut at random points
+// into the per-task lists the regroup reads in place.
 func TestRegroupHitsMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 200; trial++ {
@@ -241,7 +242,15 @@ func TestRegroupHitsMatchesSort(t *testing.T) {
 			}
 			return int(a.li) - int(b.li)
 		})
-		lis, off := regroupHits(hits, nq)
+		var lists [][]respHit
+		for rest := hits; ; {
+			n := rng.Intn(len(rest) + 1)
+			lists = append(lists, rest[:n])
+			if rest = rest[n:]; len(rest) == 0 {
+				break
+			}
+		}
+		lis, off := regroupHits(lists, nq)
 		if len(off) != nq+1 || off[0] != 0 || int(off[nq]) != len(hits) || len(lis) != len(hits) {
 			t.Fatalf("trial %d: %d hits regrouped into %d indices with offsets %v", trial, len(hits), len(lis), off)
 		}
@@ -274,7 +283,7 @@ func TestRespondQueriesWorkerInvariant(t *testing.T) {
 				t.Errorf("algo %v: %d hits, %d families", algo, serial.hits, serial.families)
 			}
 			for _, workers := range []int{0, 3, runtime.NumCPU()} {
-				n := (BalanceOptions{Workers: workers}).workerCount()
+				n := (BalanceOptions{Workers: workers}).workerCount(c.LocalRanks())
 				var st respondStats
 				got := f.respondQueries(set.qs, 3, algo, n, func(k int, task func(int)) { parallelFor(n, k, task) }, &st)
 				if st.hits != serial.hits || st.families != serial.families {
@@ -292,6 +301,41 @@ func TestRespondQueriesWorkerInvariant(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRespondQueriesParallelBytes bounds what the worker pool costs the
+// responder in memory: on a four-tree forest of level-5 canned fractals
+// answering its own cross-tree queries, respondQueries at 4 workers
+// allocates at most 1.1 times the serial bytes per call.  The forest is
+// hand-built, so no communicator is involved.
+func TestRespondQueriesParallelBytes(t *testing.T) {
+	conn := NewBrick(3, 2, 2, 1, [3]bool{})
+	leaves := octant.AppendKeys(nil, otest.CannedLeaves(t, 3, 5))
+	f := &Forest{Conn: conn, GFP: []Pos{PosOfKey(0, leaves[0]), {Tree: conn.NumTrees()}}}
+	for tree := int32(0); tree < conn.NumTrees(); tree++ {
+		f.Local = append(f.Local, TreeChunk{Tree: tree, Leaves: leaves})
+		f.NumGlobal += int64(len(leaves))
+	}
+	boundary, _ := f.queryBoundaryLeaves(0, 1, serialPar)
+	set, _ := f.buildQueries(0, boundary)
+	if len(set.qs) == 0 {
+		t.Fatal("no self queries on the four-tree canned forest")
+	}
+	bytes := func(workers int) int64 {
+		return testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var st respondStats
+				f.respondQueries(set.qs, 3, AlgoNew, workers, func(n int, task func(int)) { parallelFor(workers, n, task) }, &st)
+				if st.hits == 0 {
+					b.Fatal("the canned queries hit no leaves")
+				}
+			}
+		}).AllocedBytesPerOp()
+	}
+	serial, par := bytes(1), bytes(4)
+	if serial == 0 || float64(par) > 1.1*float64(serial) {
+		t.Errorf("respondQueries: %d B/op at 4 workers, %d B/op serially; want at most 1.1x", par, serial)
+	}
 }
 
 // TestSpliceReplaceKeysNonLeafFallback drives the splice merge with a job

@@ -89,10 +89,10 @@ type Forest struct {
 
 	// Workers bounds the rank-local worker pool of the forest-level local
 	// fan-outs that are not configured per call (the ghost-scan traversal);
-	// Balance takes its pool size from BalanceOptions.Workers.  Semantics
-	// match that field: 0 and 1 run serially, n > 1 uses n goroutines, a
-	// negative value uses one worker per available CPU.  Results are
-	// bit-identical at every worker count.
+	// Balance takes its pool size from BalanceOptions.Workers.  Unlike that
+	// field, 0 (the zero value) keeps the ghost scan serial, as does 1;
+	// n > 1 uses n goroutines, a negative value uses one worker per
+	// available CPU.  Results are bit-identical at every worker count.
 	Workers int
 
 	// otab caches the packed-key owner table derived from GFP; otabSrc and

@@ -22,7 +22,7 @@ func TestKeyLocalBalanceBitIdentical(t *testing.T) {
 		f.Partition(c, nil)
 	}
 	want := RefBalance(conn, gather(conn, runForest(t, conn, p, 1, build)), k)
-	for _, workers := range []int{0, 3} {
+	for _, workers := range []int{1, 3} {
 		got := gather(conn, runForest(t, conn, p, 1, func(c *comm.Comm, f *Forest) {
 			build(c, f)
 			f.Balance(c, k, BalanceOptions{Workers: workers})

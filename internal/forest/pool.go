@@ -66,14 +66,21 @@ func parallelFor(workers, n int, task func(i int)) {
 	}
 }
 
-// workerCount resolves the option field to an effective pool size: 0 (the
-// zero value) and 1 mean serial execution, n > 1 means a pool of n workers,
-// and a negative value asks for one worker per available CPU.
-func (opt BalanceOptions) workerCount() int {
+// workerCount resolves the option field to an effective pool size for a
+// rank whose process hosts localRanks ranks.  The zero value shares the
+// process's CPUs among its ranks, max(1, GOMAXPROCS/localRanks), so a lone
+// rank uses every core and P ranks on P cores stay serial; 1 runs
+// serially, n > 1 uses a pool of n workers, and a negative value asks for
+// one worker per available CPU.
+func (opt BalanceOptions) workerCount(localRanks int) int {
+	if opt.Workers == 0 {
+		return max(1, numCPUWorkers()/max(1, localRanks))
+	}
 	return resolveWorkers(opt.Workers)
 }
 
-// localWorkers resolves Forest.Workers with the same semantics.
+// localWorkers resolves Forest.Workers, where 0 (the zero value) stays
+// serial; other values mean what they mean for BalanceOptions.Workers.
 func (f *Forest) localWorkers() int {
 	return resolveWorkers(f.Workers)
 }

@@ -121,10 +121,12 @@ type Scenario struct {
 	MaxRanges int // for NotifyRanges; 0 = default
 
 	// Workers is the rank-local worker pool size for the balance phases
-	// (forest.BalanceOptions.Workers); 0 runs serially.  The balanced
-	// forest must be bit-identical at every value — the oracle diff and
-	// the chaos checksum cross-check verify that on every parallel
-	// scenario.
+	// (forest.BalanceOptions.Workers): 0 takes Balance's default, which
+	// shares the host's CPUs among the scenario's ranks, and 1 runs
+	// serially.  The ghost scan (forest.Forest.Workers) runs serially at
+	// both.  The balanced forest must be bit-identical at every value —
+	// the oracle diff and the chaos checksum cross-check verify that on
+	// every parallel scenario.
 	Workers int
 
 	// Codec is the wire codec used for every balance payload
@@ -368,7 +370,7 @@ func (sc Scenario) Normalized() Scenario {
 		sc.RefinePct = 100
 	}
 	if sc.Workers < 0 {
-		sc.Workers = 0
+		sc.Workers = 1
 	}
 	if sc.Workers > 64 {
 		sc.Workers = 64

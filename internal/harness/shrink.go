@@ -83,13 +83,15 @@ func shrinkCandidates(sc Scenario) []Scenario {
 		add(s)
 	}
 	// Serial execution: if the failure survives without the worker pool,
-	// intra-rank parallelism is exonerated.  A scenario that reproduces
-	// only at Workers > 1 makes this candidate pass, so Workers stays
-	// pinned in the shrunken scenario (and in the repro skeleton, which
-	// renders every non-zero knob via GoLiteral).
-	if sc.Workers > 1 {
+	// intra-rank parallelism is exonerated.  Workers 0 is Balance's
+	// default, which takes a pool on a host with spare CPUs, so it is
+	// tried too.  A scenario that reproduces only with a pool makes this
+	// candidate pass, so Workers stays pinned in the shrunken scenario
+	// (and in the repro skeleton, which renders every non-zero knob via
+	// GoLiteral).
+	if sc.Workers != 1 {
 		s := sc
-		s.Workers = 0
+		s.Workers = 1
 		add(s)
 	}
 	// Legacy wire format: if the failure survives on WireV0, the compact

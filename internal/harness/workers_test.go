@@ -43,7 +43,7 @@ func workerInvarianceScenarios() []Scenario {
 // smoke test.
 func TestWorkerCountInvariance(t *testing.T) {
 	ncpu := runtime.NumCPU()
-	counts := []int{0, ncpu, 2 * ncpu}
+	counts := []int{1, ncpu, 2 * ncpu}
 	for _, base := range workerInvarianceScenarios() {
 		base := base
 		var serial uint64

@@ -140,12 +140,28 @@ func SearchBoundaryKeys(root octant.Key, leaves []octant.Key, boxes []Box, match
 	if lo >= hi || len(boxes) == 0 {
 		return
 	}
-	d := &dualKeys{leaves: leaves, boxes: boxes, match: match, st: st}
-	d.active = make([]int32, len(boxes), 2*len(boxes)+16)
-	for i := range d.active {
-		d.active[i] = int32(i)
+	// The active-box stack is sized by the boxes that meet root, not by
+	// all of them: a task root below a large box set often meets few or
+	// none, and then prunes without allocating.
+	ro := root.Octant()
+	n := 0
+	for i := range boxes {
+		if boxes[i].IntersectsOctant(ro) {
+			n++
+		}
 	}
-	d.walk(root, lo, hi, 0, len(d.active))
+	if n == 0 {
+		st.Pruned++
+		return
+	}
+	d := &dualKeys{leaves: leaves, boxes: boxes, match: match, st: st}
+	d.active = make([]int32, 0, 2*n+16)
+	for i := range boxes {
+		if boxes[i].IntersectsOctant(ro) {
+			d.active = append(d.active, int32(i))
+		}
+	}
+	d.walk(root, lo, hi, 0, n)
 }
 
 // dualKeys carries the state of one simultaneous traversal.  The active-box

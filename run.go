@@ -54,7 +54,8 @@ type Result struct {
 	Ranks int
 	K     int
 	Algo  Algo
-	// Workers is the rank-local worker pool size the run used (0 = serial).
+	// Workers is the rank-local worker pool size the run asked for
+	// (BalanceOptions.Workers: 0 = the default, 1 = serial).
 	Workers int
 	// Codec is the wire codec the run's payloads were encoded with.
 	Codec         WireCodec
