@@ -296,8 +296,8 @@ func TestBalanceQueueDepthBounded(t *testing.T) {
 // BenchmarkFig15WeakScaling reproduces the weak-scaling configuration of
 // Figure 15: the six-tree fractal forest with ~constant octants per rank,
 // comparing the old and new one-pass algorithms.  (Scale is reduced to
-// laptop size; see cmd/weakscale for the sweep that prints the full
-// normalized table.)
+// laptop size; `go run ./cmd/bench -ranks 1,2,8,16 -level 2,2,3,3 -algo both`
+// prints the full normalized table.)
 func BenchmarkFig15WeakScaling(b *testing.B) {
 	for _, algo := range []Algo{AlgoOld, AlgoNew} {
 		for i, p := range []int{1, 4, 8} {

@@ -1,26 +1,35 @@
-// Command bench runs a workload end to end, measures the balance phases and
-// their communication volumes, and writes a machine-readable
-// BENCH_<workload>.json record (schema octbalance-bench/v1).  With -trace it
-// additionally exports the run as a Chrome trace-event file (load it in
-// chrome://tracing or Perfetto); -validate re-reads a record through the
-// schema validator.
+// Command bench is the benchmark driver.  It runs a workload end to end at
+// one or more rank counts, prints the per-phase balance timings and
+// communication volumes, and writes a machine-readable record per rank count
+// (schema octbalance-bench/v1).  With more than one rank count it also prints
+// the per-phase scaling table of Figures 15 and 17.  -workload notify runs the
+// Section V pattern-reversal sweep instead and writes one
+// octbalance-notifybench/v2 record.  With -trace it exports each run as a
+// Chrome trace-event file (load it in chrome://tracing or Perfetto);
+// -validate re-reads a record through its schema validator.
 //
 // Examples:
 //
-//	bench -workload fractal -ranks 8
-//	bench -workload icesheet -ranks 16 -algo both -trace trace.json
-//	bench -workers 4 -workload fractal      # serial AND 4-worker runs
+//	bench -workload fractal -ranks 8 -level 3 -algo both        # per-phase timings
+//	bench -ranks 1,2,8,16 -level 2,2,3,3 -algo both             # Fig. 15 weak scaling
+//	bench -workload icesheet -grid 10 -level 1 -depth 6 \
+//	      -ranks 1,2,4,8,16 -algo both                          # Fig. 17 strong scaling
+//	bench -workload notify -ranks 4,12,24,48,96,192 -codec both # Section V
+//	bench -workers 1,4 -workload fractal                        # serial and 4-worker runs
 //	bench -validate BENCH_fractal.json
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/stats"
 
 	octbalance "repro"
 )
@@ -28,51 +37,92 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bench: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses the command line and runs the selected sweep, printing to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	var (
-		dim       = flag.Int("dim", 3, "dimension (2 or 3)")
-		ranks     = flag.Int("ranks", 8, "number of simulated ranks")
-		level     = flag.Int("level", 2, "base uniform refinement level")
-		depth     = flag.Int("depth", 4, "additional adaptive refinement depth")
-		k         = flag.Int("k", 0, "balance condition 1..dim (0 = full corner balance)")
-		workloadF = flag.String("workload", "fractal", "workload: fractal, icesheet, random")
-		algoF     = flag.String("algo", "new", "algorithm: old, new, both")
-		notifyF   = flag.String("notify", "notify", "pattern reversal: naive, ranges, notify")
-		grid      = flag.Int("grid", 8, "ice sheet tree grid extent")
-		seed      = flag.Int64("seed", 42, "random workload seed")
-		prob      = flag.Int("prob", 22, "random workload split probability (percent)")
-		out       = flag.String("out", "", "output record path (default BENCH_<workload>.json)")
-		traceOut  = flag.String("trace", "", "also export a Chrome trace-event file to this path")
-		workersF  = flag.Int("workers", 0, "rank-local worker pool size; > 1 records a serial AND a parallel run per algorithm")
-		codecF    = flag.String("codec", "v0", "wire codec: v0, v1, both (both records a run per codec)")
-		poolF     = flag.Bool("pool", true, "recycle payload buffers through the comm pool")
-		validateF = flag.String("validate", "", "validate an existing record and exit")
+		dim       = fs.Int("dim", 3, "dimension (2 or 3)")
+		ranksF    = fs.String("ranks", "8", "comma-separated simulated rank counts")
+		levelF    = fs.String("level", "2", "base uniform refinement level: one value, or one per rank count")
+		depth     = fs.Int("depth", 4, "additional adaptive refinement depth")
+		k         = fs.Int("k", 0, "balance condition 1..dim (0 = full corner balance)")
+		workloadF = fs.String("workload", "fractal", "workload: fractal, icesheet, random, notify")
+		algoF     = fs.String("algo", "new", "algorithm: old, new, both")
+		notifyF   = fs.String("notify", "notify", "pattern reversal: naive, ranges, notify")
+		grid      = fs.Int("grid", 8, "ice sheet tree grid extent")
+		seed      = fs.Int64("seed", 42, "random workload seed")
+		prob      = fs.Int("prob", 22, "random workload split probability (percent)")
+		out       = fs.String("out", "", "output record path (default BENCH_<workload>.json; _p<P> is added per rank count of a sweep)")
+		traceOut  = fs.String("trace", "", "also export a Chrome trace-event file per run to this path")
+		workersF  = fs.String("workers", "0", "comma-separated rank-local worker pool sizes (0 = the CPUs shared among the ranks, 1 = serial, -1 = one per CPU)")
+		codecF    = fs.String("codec", "v0", "wire codec: v0, v1, both (both records a run per codec)")
+		poolF     = fs.Bool("pool", true, "recycle payload buffers through the comm pool")
+		validateF = fs.String("validate", "", "validate an existing record and exit")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *validateF != "" {
-		rec, err := obs.ReadBenchRecord(*validateF)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rec.Validate(); err != nil {
-			log.Fatalf("%s: invalid: %v", *validateF, err)
-		}
-		fmt.Printf("%s: valid %s record (%s, %d ranks, %d runs)\n",
-			*validateF, rec.Schema, rec.Workload, rec.Ranks, len(rec.Runs))
-		return
+		return validate(*validateF, w)
 	}
-
+	ranks, err := parseInts("-ranks", *ranksF, 1)
+	if err != nil {
+		return err
+	}
 	var codecs []octbalance.WireCodec
 	if *codecF == "both" {
 		codecs = []octbalance.WireCodec{octbalance.WireV0, octbalance.WireV1}
 	} else {
 		codec, err := octbalance.ParseWireCodec(*codecF)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		codecs = []octbalance.WireCodec{codec}
 	}
 	octbalance.SetCommPooling(*poolF)
+	recPath := *out
+	if recPath == "" {
+		recPath = "BENCH_" + *workloadF + ".json"
+	}
+
+	if *workloadF == "notify" {
+		rec, err := notifySweep(ranks, codecs)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, "pattern reversal schemes (Section V): message count / byte volume")
+		fmt.Fprintf(w, "pattern: SFC-local window %d plus long-range links (p=%.2f)\n\n", notifyWindow, notifyLongRange)
+		fmt.Fprint(w, rec.table())
+		fmt.Fprintln(w, "\nnotify returns exact sender lists with point-to-point messages only;")
+		fmt.Fprintln(w, "ranges may include false positives that receive zero-length messages (Section V).")
+		if err := writeJSON(recPath, rec); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\nrecord: %s\n", recPath)
+		return nil
+	}
+
+	levels, err := parseInts("-level", *levelF, 0)
+	if err != nil {
+		return err
+	}
+	switch len(levels) {
+	case len(ranks):
+	case 1:
+		for len(levels) < len(ranks) {
+			levels = append(levels, levels[0])
+		}
+	default:
+		return fmt.Errorf("-level has %d values for %d rank counts", len(levels), len(ranks))
+	}
+	workerCounts, err := parseInts("-workers", *workersF, -1)
+	if err != nil {
+		return err
+	}
 
 	var scheme octbalance.NotifyScheme
 	switch *notifyF {
@@ -83,31 +133,7 @@ func main() {
 	case "notify":
 		scheme = octbalance.SchemeNotify
 	default:
-		log.Fatalf("unknown notify scheme %q", *notifyF)
-	}
-
-	base := octbalance.Experiment{
-		Ranks:     *ranks,
-		BaseLevel: *level,
-		MaxLevel:  *level + *depth,
-		K:         *k,
-	}
-	switch *workloadF {
-	case "fractal":
-		base.Conn = octbalance.FractalForest(*dim)
-		base.Refine = octbalance.FractalRefine(*level + *depth)
-	case "icesheet":
-		if *dim != 2 {
-			log.Print("note: ice sheet workload is 2D; ignoring -dim")
-		}
-		is := octbalance.NewIceSheet(2, *grid, *level+*depth)
-		base.Conn = is.Conn
-		base.Refine = is.Refine
-	case "random":
-		base.Conn = octbalance.FractalForest(*dim)
-		base.Refine = octbalance.RandomRefine(*seed, *prob, *level+*depth)
-	default:
-		log.Fatalf("unknown workload %q", *workloadF)
+		return fmt.Errorf("unknown notify scheme %q", *notifyF)
 	}
 
 	var algos []octbalance.Algo
@@ -119,95 +145,260 @@ func main() {
 	case "both":
 		algos = []octbalance.Algo{octbalance.AlgoOld, octbalance.AlgoNew}
 	default:
-		log.Fatalf("unknown algorithm %q", *algoF)
+		return fmt.Errorf("unknown algorithm %q", *algoF)
 	}
 
-	kEff := *k
-	if kEff == 0 {
-		kEff = base.Conn.Dim()
+	// experiment builds the workload with base level lvl.
+	experiment := func(lvl int) (octbalance.Experiment, error) {
+		e := octbalance.Experiment{BaseLevel: lvl, MaxLevel: lvl + *depth, K: *k}
+		switch *workloadF {
+		case "fractal":
+			e.Conn = octbalance.FractalForest(*dim)
+			e.Refine = octbalance.FractalRefine(e.MaxLevel)
+		case "icesheet":
+			is := octbalance.NewIceSheet(2, *grid, e.MaxLevel)
+			e.Conn = is.Conn
+			e.Refine = is.Refine
+		case "random":
+			e.Conn = octbalance.FractalForest(*dim)
+			e.Refine = octbalance.RandomRefine(*seed, *prob, e.MaxLevel)
+		default:
+			return e, fmt.Errorf("unknown workload %q", *workloadF)
+		}
+		return e, nil
 	}
-	rec := &obs.BenchRecord{
-		Schema:    obs.BenchSchema,
-		Workload:  *workloadF,
-		Dim:       base.Conn.Dim(),
-		Ranks:     *ranks,
-		K:         kEff,
-		Notify:    scheme.String(),
-		BaseLevel: *level,
-		MaxLevel:  *level + *depth,
-		Env:       obs.CurrentEnv(),
+	if *workloadF == "icesheet" && *dim != 2 {
+		log.Print("note: ice sheet workload is 2D; ignoring -dim")
 	}
 
-	fmt.Printf("forest: %v, ranks %d, workload %s, notify %s\n\n",
-		base.Conn, *ranks, *workloadF, scheme)
-
-	// With -workers N > 1 every algorithm runs twice — serial, then with the
-	// rank-local worker pool — so the record carries its own serial-vs-
-	// parallel comparison (the forest must be bit-identical either way).
-	workerCounts := []int{1}
-	if *workersF > 1 {
-		workerCounts = append(workerCounts, *workersF)
-	}
-	tbl := stats.NewTable("one-pass 2:1 balance (cross-rank max, seconds)",
-		"algo", "wk", "codec", "octants before", "octants after", "total", "local bal", "notify",
-		"query/resp", "rebalance", "imbalance", "msgs", "bytes", "raw bytes", "ratio")
-	for _, algo := range algos {
-		for _, wk := range workerCounts {
-			for _, codec := range codecs {
-				e := base
-				e.Options = octbalance.BalanceOptions{Algo: algo, Notify: scheme, Workers: wk, Codec: codec}
-				e.Tracer = octbalance.NewTracer(e.Ranks)
-				res := e.Run()
-				rec.Runs = append(rec.Runs, res.BenchRun())
-				msgs, bytes := res.CommTotals()
-				raw := res.RawTotal()
-				// Compression ratio over the codec-metered phases only, so
-				// unmetered collective traffic does not dilute it.
-				var metered int64
-				for phase, st := range res.Comm {
-					if !strings.HasPrefix(phase, "obs/") && st.RawBytes > 0 {
-						metered += st.Bytes
+	var recs []*obs.BenchRecord
+	for i, p := range ranks {
+		e, err := experiment(levels[i])
+		if err != nil {
+			return err
+		}
+		if i == 0 {
+			fmt.Fprintf(w, "forest: %v, ranks %v, workload %s, notify %s\n\n", e.Conn, ranks, *workloadF, scheme)
+		}
+		e.Ranks = p
+		rec := &obs.BenchRecord{
+			Schema:    obs.BenchSchema,
+			Workload:  *workloadF,
+			Dim:       e.Conn.Dim(),
+			Ranks:     p,
+			K:         *k,
+			Notify:    scheme.String(),
+			BaseLevel: e.BaseLevel,
+			MaxLevel:  e.MaxLevel,
+			Env:       obs.CurrentEnv(),
+		}
+		if rec.K == 0 {
+			rec.K = rec.Dim
+		}
+		for _, algo := range algos {
+			for _, wk := range workerCounts {
+				for _, codec := range codecs {
+					e.Options = octbalance.BalanceOptions{Algo: algo, Notify: scheme, Workers: wk, Codec: codec}
+					e.Tracer = octbalance.NewTracer(p)
+					run := e.Run().BenchRun()
+					run.Workers = max(1, int(e.Tracer.MaxGauge(obs.GaugeLocalWorkers)))
+					rec.Runs = append(rec.Runs, run)
+					if *traceOut != "" {
+						path := *traceOut
+						if len(ranks) > 1 {
+							path = insertSuffix(path, fmt.Sprintf("_p%d", p))
+						}
+						if len(algos) > 1 {
+							path = insertSuffix(path, "_"+algo.String())
+						}
+						if len(workerCounts) > 1 {
+							path = insertSuffix(path, fmt.Sprintf("_wk%d", wk))
+						}
+						if len(codecs) > 1 {
+							path = insertSuffix(path, "_"+codec.String())
+						}
+						if err := e.Tracer.WriteTraceFile(path); err != nil {
+							return err
+						}
+						fmt.Fprintf(w, "trace (P=%d, %s, %d workers, %s): %s\n", p, algo, run.Workers, codec, path)
 					}
-				}
-				ratio := "-"
-				if metered > 0 {
-					ratio = fmt.Sprintf("%.2fx", float64(raw)/float64(metered))
-				}
-				total := res.PhaseAgg[octbalance.PhaseTotal]
-				tbl.AddRow(algo, wk, codec, res.OctantsBefore, res.OctantsAfter,
-					total.Max,
-					res.PhaseAgg["local-balance"].Max, res.PhaseAgg["notify"].Max,
-					res.PhaseAgg["query-response"].Max, res.PhaseAgg["rebalance"].Max,
-					total.Imbalance, msgs, bytes, raw, ratio)
-				if *traceOut != "" {
-					path := *traceOut
-					if len(algos) > 1 {
-						path = insertSuffix(path, "_"+algo.String())
-					}
-					if len(workerCounts) > 1 {
-						path = insertSuffix(path, fmt.Sprintf("_wk%d", wk))
-					}
-					if len(codecs) > 1 {
-						path = insertSuffix(path, "_"+codec.String())
-					}
-					if err := e.Tracer.WriteTraceFile(path); err != nil {
-						log.Fatal(err)
-					}
-					fmt.Printf("trace (%s, %d workers, %s): %s\n", algo, wk, codec, path)
 				}
 			}
 		}
+		if err := agree(rec.Runs); err != nil {
+			return fmt.Errorf("P=%d: %w", p, err)
+		}
+		recs = append(recs, rec)
 	}
-	fmt.Print(tbl)
 
-	path := *out
-	if path == "" {
-		path = "BENCH_" + *workloadF + ".json"
+	fmt.Fprint(w, runTable(recs))
+	if len(recs) > 1 || len(algos) > 1 {
+		fmt.Fprint(w, "\n", scalingTable(recs, len(algos)))
 	}
-	if err := obs.WriteBenchRecord(path, rec); err != nil {
-		log.Fatal(err)
+	fmt.Fprintln(w)
+	for _, rec := range recs {
+		path := recPath
+		if len(recs) > 1 {
+			path = insertSuffix(path, fmt.Sprintf("_p%d", rec.Ranks))
+		}
+		if err := obs.WriteBenchRecord(path, rec); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "record: %s\n", path)
 	}
-	fmt.Printf("\nrecord: %s\n", path)
+	return nil
+}
+
+// agree checks that every run of one rank count produced the same balanced
+// forest size, whatever its algorithm, worker count or codec.
+func agree(runs []obs.BenchRun) error {
+	for _, r := range runs[1:] {
+		if r.OctantsAfter != runs[0].OctantsAfter {
+			return fmt.Errorf("runs disagree: %s/%d workers/%s gave %d octants, %s/%d workers/%s gave %d",
+				runs[0].Algo, runs[0].Workers, runs[0].Codec, runs[0].OctantsAfter,
+				r.Algo, r.Workers, r.Codec, r.OctantsAfter)
+		}
+	}
+	return nil
+}
+
+// runTable lists every run of the sweep: octant counts, the cross-rank
+// maximum of each phase and the communication volumes.
+func runTable(recs []*obs.BenchRecord) *Table {
+	tbl := NewTable("one-pass 2:1 balance (cross-rank max, seconds)",
+		"P", "algo", "wk", "codec", "octants before", "octants after", "total", "local bal", "notify",
+		"query/resp", "rebalance", "imbalance", "msgs", "bytes", "raw bytes", "ratio")
+	for _, rec := range recs {
+		for _, run := range rec.Runs {
+			// Compression ratio over the codec-metered phases only, so
+			// unmetered collective traffic does not dilute it.
+			var metered int64
+			for phase, v := range run.Comm {
+				if !strings.HasPrefix(phase, "obs/") && v.RawBytes > 0 {
+					metered += v.Bytes
+				}
+			}
+			ratio := "-"
+			if metered > 0 {
+				ratio = fmt.Sprintf("%.2fx", float64(run.TotalRawBytes)/float64(metered))
+			}
+			total := run.Phases[octbalance.PhaseTotal]
+			tbl.AddRow(rec.Ranks, run.Algo, run.Workers, run.Codec, run.OctantsBefore, run.OctantsAfter,
+				total.Max, run.Phases["local-balance"].Max, run.Phases["notify"].Max,
+				run.Phases["query-response"].Max, run.Phases["rebalance"].Max,
+				total.Imbalance, run.TotalMessages, run.TotalBytes, run.TotalRawBytes, ratio)
+		}
+	}
+	return tbl
+}
+
+// scalingTable is the per-phase table of Figures 15 and 17: for every phase
+// and run variant, each rank count's seconds and seconds per (million
+// octants per rank) per algorithm.  Runs within a record are ordered
+// algorithm-major, so a variant v of algorithm a is run a*nv+v.  The ideal
+// column scales the last algorithm's time at the first rank count with the
+// octants per rank: constant normalized time for weak scaling, time ∝ 1/P
+// for strong scaling.  old/new is the Section VI speedup.
+func scalingTable(recs []*obs.BenchRecord, nAlgos int) *Table {
+	header := []string{"phase", "P", "wk", "codec", "octants", "oct/rank"}
+	nv := len(recs[0].Runs) / nAlgos
+	for a := 0; a < nAlgos; a++ {
+		name := recs[0].Runs[a*nv].Algo
+		header = append(header, name+" [s]", name+" [s/(M/rank)]")
+	}
+	header = append(header, "ideal [s]")
+	if nAlgos == 2 {
+		header = append(header, "old/new")
+	}
+	tbl := NewTable("per-phase scaling (cross-rank max; ideal: time ∝ octants per rank)", header...)
+	phases := append([]string{octbalance.PhaseTotal}, octbalance.BalancePhases...)
+	for _, phase := range phases {
+		for v := 0; v < nv; v++ {
+			var ideal0, perRank0 float64
+			for i, rec := range recs {
+				first := rec.Runs[v]
+				perRank := float64(first.OctantsAfter) / float64(rec.Ranks)
+				row := []interface{}{phase, rec.Ranks, first.Workers, first.Codec, first.OctantsAfter, int64(perRank)}
+				var secs []float64
+				for a := 0; a < nAlgos; a++ {
+					s := rec.Runs[a*nv+v].Phases[phase].Max
+					secs = append(secs, s)
+					row = append(row, s, s/(perRank/1e6))
+				}
+				if i == 0 {
+					ideal0, perRank0 = secs[nAlgos-1], perRank
+				}
+				row = append(row, ideal0*perRank/perRank0)
+				if nAlgos == 2 {
+					ratio := "-"
+					if secs[1] > 0 {
+						ratio = fmt.Sprintf("%.2fx", secs[0]/secs[1])
+					}
+					row = append(row, ratio)
+				}
+				tbl.AddRow(row...)
+			}
+		}
+	}
+	return tbl
+}
+
+// validate reads a record, bench or notify, and checks it against its
+// schema.
+func validate(path string, w io.Writer) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var head struct {
+		Schema string `json:"schema"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if head.Schema == notifySchema {
+		var rec notifyRecord
+		if err := json.Unmarshal(data, &rec); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		if err := rec.validate(); err != nil {
+			return fmt.Errorf("%s: invalid: %w", path, err)
+		}
+		fmt.Fprintf(w, "%s: valid %s record (%d rows)\n", path, rec.Schema, len(rec.Sizes))
+		return nil
+	}
+	rec, err := obs.ReadBenchRecord(path)
+	if err != nil {
+		return err
+	}
+	if err := rec.Validate(); err != nil {
+		return fmt.Errorf("%s: invalid: %w", path, err)
+	}
+	fmt.Fprintf(w, "%s: valid %s record (%s, %d ranks, %d runs)\n",
+		path, rec.Schema, rec.Workload, rec.Ranks, len(rec.Runs))
+	return nil
+}
+
+// writeJSON writes v as indented JSON.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// parseInts parses a comma-separated list of integers, each at least lo.
+func parseInts(name, s string, lo int) ([]int, error) {
+	var vs []int
+	for _, f := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || v < lo {
+			return nil, fmt.Errorf("%s: bad value %q (want an integer >= %d)", name, f, lo)
+		}
+		vs = append(vs, v)
+	}
+	return vs, nil
 }
 
 // insertSuffix inserts s before the path's extension: trace.json ->

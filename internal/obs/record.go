@@ -35,10 +35,11 @@ type BenchRecord struct {
 // cross-rank aggregates (seconds), and the communication volumes.
 type BenchRun struct {
 	Algo string `json:"algo"`
-	// Workers is the rank-local worker pool size the run asked for (1 =
-	// serial, 0 = Balance's default); cmd/bench -workers N records a
-	// serial and a parallel run per algorithm so records carry their own
-	// serial-vs-parallel comparison.
+	// Workers is the rank-local worker pool size the run used: cmd/bench
+	// records max(1, the run's GaugeLocalWorkers maximum), so a run under
+	// Balance's default pool shows the size that default resolved to.
+	// cmd/bench -workers 1,N records a serial and a parallel run per
+	// algorithm.
 	Workers int `json:"workers,omitempty"`
 	// Codec is the wire codec of the run ("v0"/"v1"); empty in records
 	// predating the codec dimension (which ran the v0 format).

@@ -17,19 +17,18 @@
 //     refinement, coarsening, weighted space-filling-curve partitioning and
 //     the complete one-pass parallel 2:1 balance in both the old and the
 //     new variant (internal/forest);
-//   - the evaluation workloads (fractal and synthetic ice sheet) and the
-//     measurement plumbing used to regenerate the paper's figures
-//     (internal/workload, internal/stats).
+//   - the evaluation workloads, fractal and synthetic ice sheet
+//     (internal/workload).
 //
 // This package is the public facade: it re-exports the types and
 // constructors a downstream user needs, and adds the Experiment runner used
-// by the benchmark drivers in cmd/ and the benchmarks in bench_test.go.
+// by the benchmark driver cmd/bench, which regenerates the paper's figures,
+// and by the benchmarks in bench_test.go.
 package octbalance
 
 import (
 	"repro/internal/balance"
 	"repro/internal/comm"
-	"repro/internal/fem"
 	"repro/internal/forest"
 	"repro/internal/linear"
 	"repro/internal/mesh"
@@ -258,18 +257,6 @@ var (
 	// ChecksumGlobal digests a gathered forest (partition invariant).
 	ChecksumGlobal = forest.ChecksumGlobal
 )
-
-// Finite elements on balanced meshes (the downstream consumer of balance).
-type (
-	// FEMProblem is a Poisson problem on the forest's domain.
-	FEMProblem = fem.Problem
-	// FEMSolution is a solved Poisson problem.
-	FEMSolution = fem.Solution
-)
-
-// SolveFEM assembles and solves a Poisson problem with bilinear elements
-// and hanging-node constraints on a balanced 2D forest.
-var SolveFEM = fem.Solve
 
 // StageOverride pins one stage of the one-pass balance for ablations.
 type StageOverride = forest.StageOverride
