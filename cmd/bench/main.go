@@ -198,7 +198,8 @@ func run(args []string, w io.Writer) error {
 		for _, algo := range algos {
 			for _, wk := range workerCounts {
 				for _, codec := range codecs {
-					e.Options = octbalance.BalanceOptions{Algo: algo, Notify: scheme, Workers: wk, Codec: codec}
+					e.Options = octbalance.BalanceOptions{Algo: algo, Notify: scheme}
+					e.Workers, e.Codec = wk, codec
 					e.Tracer = octbalance.NewTracer(p)
 					run := e.Run().BenchRun()
 					run.Workers = max(1, int(e.Tracer.MaxGauge(obs.GaugeLocalWorkers)))

@@ -18,7 +18,7 @@ func codecExperiment(p int, codec octbalance.WireCodec) octbalance.Experiment {
 		BaseLevel: 1,
 		MaxLevel:  5,
 		Refine:    octbalance.FractalRefine(5),
-		Options:   octbalance.BalanceOptions{Codec: codec},
+		Codec:     codec,
 	}
 }
 
@@ -98,7 +98,7 @@ func TestChaosWireBytesCoverLogical(t *testing.T) {
 				f.Wire = codec
 				f.Refine(c, 5, refine)
 				f.Partition(c, nil)
-				f.Balance(c, 2, forest.BalanceOptions{Codec: codec})
+				f.Balance(c, 2, forest.BalanceOptions{})
 				forests[c.Rank()] = f
 			})
 			var logical int64

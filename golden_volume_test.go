@@ -63,7 +63,8 @@ func TestGoldenResponseVolume(t *testing.T) {
 				f := forest.NewUniform(vc.conn, c, 1)
 				f.Refine(c, vc.maxLevel, vc.refine)
 				f.Partition(c, nil)
-				f.Balance(c, vc.k, forest.BalanceOptions{Codec: codec})
+				f.Wire = codec
+				f.Balance(c, vc.k, forest.BalanceOptions{})
 				forests[c.Rank()] = f
 			})
 			st := w.PhaseStats("query-response")

@@ -21,10 +21,13 @@ import (
 // at all.  If o does not split r (the overlap of Tk(o) with r is r itself,
 // or o is not coarser than r's interior demands), it returns (nil, false).
 //
-// All seeds are leaves of Tk(o) contained in r.  Their count is O(3^(d-1))
-// as shown in the paper (our candidate set is the full coarse neighborhood
-// of a clipped to r, a constant-size superset of the paper's, which keeps
-// the construction O(1) while simplifying the boundary-portion analysis).
+// All seeds are leaves of Tk(o) contained in r.  For k = d their count is
+// O(3^(d-1)) as shown in the paper (our candidate set is the full coarse
+// neighborhood of a clipped to r, a constant-size superset of the paper's,
+// which keeps the construction O(1) while simplifying the boundary-portion
+// analysis).  For k < d the 3^d ring around the parent of every ancestor of
+// a down to two levels below r is seeded as well, O(3^d · level gap) seeds
+// in all: a's ring alone misses leaves of Tk(o) in 3D.
 //
 // o and r must be non-overlapping octants of the same dimension.
 func Seeds(o, r octant.Octant, k int) ([]octant.Octant, bool) {
@@ -56,19 +59,25 @@ func AppendSeeds(dst []octant.Octant, o, r octant.Octant, k int) ([]octant.Octan
 		return dst, false
 	}
 	dst = append(dst, a)
-	if a.Level >= r.Level+2 {
-		p := a.Parent()
-		for _, d := range octant.Directions(int(o.Dim), k) {
-			s := p.Neighbor(d) // a member of a's coarse neighborhood N(a)
+	// s ranges over the coarse neighborhood N(a) (the 3^d ring around a's
+	// parent) clipped to r; where s is unbalanced with o, the true leaf of
+	// Tk(o) there is finer than s, and (like a) is a seed.  Under k < d the
+	// chain of Tk(o) can turn through more than k axes at once, so the ring
+	// of every coarser ancestor of a, down to two levels below r, is seeded
+	// too: a's ring alone misses leaves of Tk(o) in 3D.
+	for b := a; b.Level >= r.Level+2; b = b.Parent() {
+		p := b.Parent()
+		for _, d := range octant.Directions(int(o.Dim), int(o.Dim)) {
+			s := p.Neighbor(d)
 			if !r.IsAncestor(s) {
 				continue // outside r (or as coarse as r)
 			}
-			t := ClosestBalancedAncestor(s, o, k)
-			if t != s {
-				// s is unbalanced with o: the true leaf of Tk(o)
-				// there is t, finer than s; t (like a) is a seed.
+			if t := ClosestBalancedAncestor(s, o, k); t != s {
 				dst = append(dst, t)
 			}
+		}
+		if k == int(o.Dim) {
+			break
 		}
 	}
 	return dst, true

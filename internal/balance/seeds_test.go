@@ -98,3 +98,23 @@ func TestAppendSeedsReusesBuffer(t *testing.T) {
 		}
 	}
 }
+
+// TestSeedsReconstructionKBelowDim pins two 3D pairs where the seeds of a's
+// coarse neighborhood alone reconstruct too coarse an overlap under k < d:
+// Tk(o) ∩ r needs the rings around a's coarser ancestors as well.
+func TestSeedsReconstructionKBelowDim(t *testing.T) {
+	root := octant.Root(3)
+	for _, c := range []struct {
+		o, r   octant.Octant
+		k      int
+		leaves int
+	}{
+		{octant.New(3, 6, 419430400, 218103808, 251658240), octant.New(3, 1, 536870912, 0, 0), 1, 36},
+		{octant.New(3, 5, 503316480, 469762048, 67108864), octant.New(3, 1, 536870912, 536870912, 0), 2, 29},
+	} {
+		checkSeeds(t, c.o, c.r, c.k, Tk(root, c.o, c.k))
+		if got := len(TkOverlap(c.o, c.r, c.k)); got != c.leaves {
+			t.Errorf("TkOverlap(%v, %v, %d): %d leaves, want %d", c.o, c.r, c.k, got, c.leaves)
+		}
+	}
+}

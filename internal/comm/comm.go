@@ -23,6 +23,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,7 +114,9 @@ func (ib *inbox) take(src, tag int, dl time.Time, op string) message {
 		}
 		for i, m := range ib.msgs {
 			if m.tag == tag && (src < 0 || m.src == src) {
-				ib.msgs = append(ib.msgs[:i], ib.msgs[i+1:]...)
+				// Delete zeroes the vacated tail slot, so the backing
+				// array does not keep the taken payload alive.
+				ib.msgs = slices.Delete(ib.msgs, i, i+1)
 				ib.cond.Broadcast() // wake senders blocked on a full mailbox
 				w.noteDequeue(m.phase, len(m.data))
 				return m

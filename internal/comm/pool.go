@@ -41,9 +41,11 @@ func SetPooling(on bool) bool { return pooling.Swap(on) }
 func PoolingEnabled() bool { return pooling.Load() }
 
 // maxPooledCap bounds the capacity of recycled buffers so one huge payload
-// (a full-forest partition transfer, say) does not pin its backing array in
-// the pool forever.
-const maxPooledCap = 1 << 22
+// (a partition transfer, say) does not pin its backing array in the pool
+// forever: recycled into the small ghost and balance payloads that follow,
+// a half-megabyte partition buffer of a two-rank 3D AMR step kept circulating
+// and was still live at the end of the run.
+const maxPooledCap = 1 << 18
 
 var bufPool sync.Pool // of *[]byte; Get returns nil when empty
 

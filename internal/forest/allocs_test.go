@@ -52,7 +52,7 @@ func TestLocalBalanceChunkKeysAllocs(t *testing.T) {
 }
 
 // TestGhostScanAllocs bounds the rank-local half of ghost construction: the
-// send schedule of rank 0 on one tree holding the level-4 canned fractal,
+// serial send schedule of rank 0 on one tree holding the level-4 canned fractal,
 // split halfway along the curve with rank 1.  The partition table is
 // hand-built, so no communicator is involved.
 func TestGhostScanAllocs(t *testing.T) {
@@ -65,11 +65,11 @@ func TestGhostScanAllocs(t *testing.T) {
 		GFP:       []Pos{PosOf(0, leaves[0]), PosOf(0, leaves[half]), {Tree: conn.NumTrees()}},
 		NumGlobal: int64(len(leaves)),
 	}
-	if sends, _ := f.GhostScan(0); len(sends) == 0 {
+	if sends, _, _ := f.ghostScan(0, 1); len(sends) == 0 {
 		t.Fatal("the two-rank canned forest produces no ghost sends")
 	}
-	if allocs := testing.AllocsPerRun(10, func() { f.GhostScan(0) }); allocs > 18 {
-		t.Fatalf("GhostScan: %v allocations, want at most 18", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { f.ghostScan(0, 1) }); allocs > 18 {
+		t.Fatalf("ghostScan: %v allocations, want at most 18", allocs)
 	}
 }
 

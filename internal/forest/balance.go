@@ -84,7 +84,9 @@ func (s NotifyScheme) String() string {
 }
 
 // BalanceOptions configures a Balance call.  The zero value selects the
-// paper's new algorithm with the divide-and-conquer Notify.
+// paper's new algorithm with the divide-and-conquer Notify.  The worker pool
+// and the wire codec are the forest's own settings (Forest.Workers,
+// Forest.Wire).
 type BalanceOptions struct {
 	Algo   Algo
 	Notify NotifyScheme
@@ -96,20 +98,6 @@ type BalanceOptions struct {
 	// algorithm together — they must agree, since seeds and raw octants
 	// are interpreted differently by the receiver (ablation).
 	RemoteStage StageOverride
-	// Workers bounds the rank-local worker pool that the local pipeline
-	// stages (per-tree subtree balance, query responses, the rebalance
-	// subtree reconstruction and merge) fan out over.  0 (the default)
-	// splits the CPUs among the ranks this process hosts:
-	// max(1, GOMAXPROCS / Comm.LocalRanks()) workers, so a single rank
-	// uses every core and one rank per core runs serially.  1 runs
-	// serially on the rank's own goroutine; n > 1 uses a pool of n
-	// goroutines; a negative value uses one worker per available CPU.
-	// The balanced forest is bit-identical at every worker count.
-	Workers int
-	// Codec selects the wire encoding of the balance payloads (queries,
-	// responses, and the notify pattern).  The balanced forest is
-	// bit-identical under every codec; only the byte volume changes.
-	Codec WireCodec
 }
 
 // PhaseTimes records wall-clock durations of the one-pass balance phases as
@@ -296,7 +284,7 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	root := octant.Root(f.Conn.dim)
 	localAlgo := opt.LocalStage.resolve(opt.Algo)
 	remoteAlgo := opt.RemoteStage.resolve(opt.Algo)
-	workers := opt.workerCount(c.LocalRanks())
+	workers := f.workerCount(c.LocalRanks())
 	tr, me := c.Tracer(), c.Rank()
 	if workers > 1 {
 		tr.ObserveMax(me, obs.GaugeLocalWorkers, int64(workers))
@@ -334,22 +322,21 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	})
 	times.LocalBalance = ps.end()
 
-	// Phase 2: Query construction.  A recursive traversal per tree chunk
-	// (internal/traverse) first narrows the curve down to the leaves whose
-	// insulation layer can leave the local partition or cross a tree
-	// boundary — subtrees with an entirely same-tree, rank-local insulation
-	// neighborhood are pruned without touching their leaves.  Only the
-	// surviving boundary leaves then resolve their insulation groups.
+	// Phase 2: Query construction.  The boundary scan descends each tree
+	// chunk and prunes the subtrees whose insulation neighborhood is
+	// same-tree and rank-local without touching their leaves; the
+	// surviving leaves issue one query per target of their insulation
+	// groups.
 	ps = beginPhase(c, "query")
-	boundary, queryStats := f.queryBoundaryLeaves(me, workers, runParallel)
 	sp := child(obs.SpanQueryBuild)
-	set, buildStats := f.buildQueries(me, boundary)
+	scan := f.scanBoundary(me, false, workers, runParallel)
+	set := newQuerySet(scan.issued)
 	sp.End()
-	tr.Add(me, "balance/query-nodes", int64(queryStats.Nodes))
-	tr.Add(me, "balance/query-leaves", int64(queryStats.Leaves))
-	tr.Add(me, "balance/query-pruned", int64(queryStats.Pruned))
-	tr.Add(me, obs.CounterQueryGroups, int64(buildStats.groups))
-	tr.Add(me, obs.CounterQueryCells, int64(buildStats.cells))
+	tr.Add(me, "balance/query-nodes", int64(scan.st.Nodes))
+	tr.Add(me, "balance/query-leaves", int64(scan.st.Leaves))
+	tr.Add(me, "balance/query-pruned", int64(scan.st.Pruned))
+	tr.Add(me, obs.CounterQueryGroups, int64(scan.groups))
+	tr.Add(me, obs.CounterQueryCells, int64(scan.cells))
 	tr.Add(me, obs.CounterBalanceQueries, int64(len(set.qs)))
 	queryBuildTime := ps.end()
 
@@ -360,18 +347,18 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	sendTo := receivers
 	switch opt.Notify {
 	case NotifyNaive:
-		senders = notify.NaiveCodec(c, receivers, opt.Codec)
+		senders = notify.NaiveCodec(c, receivers, f.Wire)
 	case NotifyRanges:
 		mr := opt.MaxRanges
 		if mr <= 0 {
 			mr = 8
 		}
-		senders = notify.RangesCodec(c, receivers, mr, opt.Codec)
+		senders = notify.RangesCodec(c, receivers, mr, f.Wire)
 		// The sender lists contain false positives; match them with
 		// zero-length queries so every expected message exists.
 		sendTo = notify.RangeCover(receivers, mr, c.Size(), me)
 	default:
-		senders = notify.NotifyCodec(c, receivers, opt.Codec)
+		senders = notify.NotifyCodec(c, receivers, f.Wire)
 	}
 	times.Notify = ps.end()
 
@@ -381,7 +368,7 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	sp = child(obs.SpanQRSend)
 	for _, rank := range sendTo {
 		lo, hi := set.run(rank)
-		enc := wireEnc{b: comm.GetBuf(), codec: opt.Codec, dim: dim}
+		enc := wireEnc{b: comm.GetBuf(), codec: f.Wire, dim: dim}
 		enc.count(hi - lo)
 		for _, q := range set.qs[lo:hi] {
 			enc.tree(q.tree)
@@ -397,7 +384,7 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	for _, rank := range senders {
 		data := c.Recv(rank, tagQuery)
 		sp = child(obs.SpanQRRespondRemote)
-		payload, raw := f.respond(data, k, remoteAlgo, opt.Codec, workers, runParallel, &rst)
+		payload, raw := f.respond(data, k, remoteAlgo, workers, runParallel, &rst)
 		sp.End()
 		c.AddRawBytes(raw)
 		c.Send(rank, tagResponse, payload)
@@ -414,7 +401,7 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	sp = child(obs.SpanQRRecvWait)
 	for _, rank := range sendTo {
 		data := c.Recv(rank, tagResponse)
-		d := wireDec{b: data, codec: opt.Codec, dim: dim}
+		d := wireDec{b: data, codec: f.Wire, dim: dim}
 		// A responder answers in query order and skips queries it has
 		// nothing to say to, so one forward walk of the run matches them.
 		i, hi := set.run(rank)
@@ -528,66 +515,152 @@ func clipToRange(octs []octant.Octant, first, last octant.Octant) []octant.Octan
 	return out
 }
 
-// queryBuildStats counts the work of one query build: the insulation groups
-// whose owners were bracketed, and the cells resolved one by one because
-// their group straddles a partition boundary.
-type queryBuildStats struct {
+// The boundary engine.  Phase 2 and the ghost layer ask one question of the
+// insulation layer I(w) of a node w of a local tree (Section II-B): which
+// ranks own its cells, and in which trees?  Each answer is a target (rank,
+// tree).  A balance query goes to every target except the rank's own tree
+// on the rank itself, whose interactions the local balance already covers;
+// a ghost send goes to every target on another rank.  One enumeration of
+// the targets serves both filters, at the leaves and, to prune, at the
+// virtual nodes above them.
+
+// groupStats counts the target enumeration's work at the surviving leaves:
+// the insulation groups whose owners were bracketed, and the cells resolved
+// one by one because their group straddles a partition boundary.
+type groupStats struct {
 	groups, cells int
 }
 
-// buildQueries enumerates the queries of the boundary leaves (phase 2): the
-// owners of every insulation cell of a leaf are asked how the leaf must
-// split.  The cells are resolved per exit target, not one by one.  A leaf
-// below the root that touches m root faces splits its 3^d − 1 cells into at
-// most 2^m groups, one per offset in the product over the touched axes of
-// {0, ±1}: the in-root group — the 3×3(×3) box clipped to the root — and one
-// exit group per neighbour tree (a root leaf touches every face and has
-// 3^d).  Each group is an aligned box of same-size cells in one tree's
-// frame, and the Morton order is monotone in every coordinate, so the box's
-// whole region lies on the curve between the first descendant of its
-// min-corner cell and the last descendant of its max-corner cell: the
-// owners of those two positions bracket the owners of every cell.
+// boundaryScan runs the target enumeration over task windows of the local
+// chunks and collects the consumer's output: the queries issued, or the
+// ghost sends.
+type boundaryScan struct {
+	f     *Forest
+	ot    *ownerTable
+	me    int
+	ghost bool // the ghost filter; otherwise the query filter
+	dirs  []octant.Dir
+	tree  int32 // the tree of the task being scanned
+
+	// The node being enumerated, packed and unpacked, and whether its
+	// targets go to the output (a leaf) or only decide a prune.
+	w    octant.Key
+	r    octant.Octant
+	emit bool
+
+	issued []issuedQuery
+	sends  []GhostSend
+	st     traverse.Stats
+	groupStats
+}
+
+// scanTask is a window of one chunk's leaves below a task root.
+type scanTask struct {
+	tree   int32
+	root   octant.Key
+	window []octant.Key
+}
+
+// scanBoundary runs the target enumeration over the local partition.  Each
+// chunk is descended top-down (internal/traverse); a virtual node whose own
+// region is rank-local and none of whose targets passes the filter is
+// pruned with its whole subtree, and every surviving leaf hands its targets
+// to the output.  The prune is sound by the alignment of the lattice: a
+// leaf's same-size neighbour lies within exactly one cell of the 3^d
+// insulation grid of any ancestor (cube sides are powers of two dividing
+// the ancestor's side), each cell canonicalizes to the same tree as its
+// subcubes, and the owners of a subregion are among the owners of its
+// enclosing region.
 //
-// The in-root group contains the leaf itself, so it is either dismissed —
-// both ends in this rank's own range, two key compares — or straddles.  An
-// exit group canonicalizes once; when both ends have one owner it yields one
-// query, to that owner.  Only a straddling group falls back to resolving its
-// own cells one by one.  The query set is exactly the classical per-cell
-// one, in which every insulation cell is canonicalized and every owner of
-// its region asked.
-func (f *Forest) buildQueries(me int, boundary [][]int32) (querySet, queryBuildStats) {
-	b := queryBuilder{f: f, ot: f.ownerTable(), me: me, dirs: octant.Directions(f.Conn.dim, f.Conn.dim)}
-	for ci := range f.Local {
-		tc := &f.Local[ci]
-		for _, li := range boundary[ci] {
-			b.leaf(tc.Tree, tc.Leaves[li])
+// With a pool, top-level subtree tasks fan out over it via par, each into
+// its own scan.  Tasks are cut in curve order and their outputs concatenated
+// in task order, so the output lists the leaves of each chunk in curve order
+// at every worker count.
+func (f *Forest) scanBoundary(me int, ghost bool, workers int, par func(int, func(int))) boundaryScan {
+	rootKey := octant.KeyOf(octant.Root(f.Conn.dim))
+	base := boundaryScan{f: f, ot: f.ownerTable(), me: me, ghost: ghost, dirs: octant.Directions(f.Conn.dim, f.Conn.dim)}
+	if workers <= 1 {
+		// One scan runs the chunks in order; its output needs no merge.
+		for _, tc := range f.Local {
+			base.run(scanTask{tree: tc.Tree, root: rootKey, window: tc.Leaves})
+		}
+		return base
+	}
+	var tasks []scanTask
+	for _, tc := range f.Local {
+		for _, t := range traverse.SplitTasksKeys(rootKey, tc.Leaves, 4*workers) {
+			tasks = append(tasks, scanTask{tree: tc.Tree, root: t.Root, window: tc.Leaves[t.Lo:t.Hi]})
 		}
 	}
-	return newQuerySet(b.issued), b.stats
+	// The owner table was warmed above, serially; the workers only read it.
+	scans := make([]boundaryScan, len(tasks))
+	par(len(tasks), func(i int) {
+		scans[i] = base
+		scans[i].run(tasks[i])
+	})
+	var nq, ns int
+	for i := range scans {
+		nq, ns = nq+len(scans[i].issued), ns+len(scans[i].sends)
+	}
+	all := base
+	all.issued = make([]issuedQuery, 0, nq)
+	all.sends = make([]GhostSend, 0, ns)
+	for i := range scans {
+		all.issued = append(all.issued, scans[i].issued...)
+		all.sends = append(all.sends, scans[i].sends...)
+		all.st.Merge(scans[i].st)
+		all.groups += scans[i].groups
+		all.cells += scans[i].cells
+	}
+	return all
 }
 
-// queryBuilder collects the queries of one rank's boundary leaves.
-type queryBuilder struct {
-	f      *Forest
-	ot     *ownerTable
-	me     int
-	dirs   []octant.Dir
-	issued []issuedQuery
-	stats  queryBuildStats
+// run scans one task.
+func (s *boundaryScan) run(t scanTask) {
+	s.tree = t.tree
+	traverse.SearchKeys(t.root, t.window, func(w octant.Key, _, _ int, isLeaf bool) bool {
+		if isLeaf {
+			s.targets(w, true)
+			return true
+		}
+		return !s.ot.ownsRegionKey(s.me, s.tree, w) || s.targets(w, false)
+	}, &s.st)
 }
 
-// leaf issues the queries of one boundary leaf of the given tree, group by
-// group.
-func (b *queryBuilder) leaf(tree int32, leaf octant.Key) {
-	r := leaf.Octant()
+// targets enumerates the targets of node w's insulation cells and reports
+// whether any passes the filter.  With emit the passing targets go to the
+// output and the work is counted; without it (a prune probe) it returns at
+// the first one.
+//
+// The cells are resolved per exit target, not one by one.  A node below the
+// root that touches m root faces splits its 3^d − 1 cells into at most 2^m
+// groups, one per offset in the product over the touched axes of {0, ±1}:
+// the in-root group — the 3×3(×3) box clipped to the root — and one exit
+// group per neighbour tree (the root itself touches every face and has 3^d).
+// Each group is an aligned box of same-size cells in one tree's frame, and
+// the Morton order is monotone in every coordinate, so the box's whole
+// region lies on the curve between the first descendant of its min-corner
+// cell and the last descendant of its max-corner cell: the owners of those
+// two positions bracket the owners of every cell.
+//
+// The in-root group contains the node itself, so it is either dismissed —
+// both ends in this rank's own range, two key compares — or straddles.  An
+// exit group canonicalizes once; when both ends have one owner it is one
+// target.  Only a straddling group falls back to resolving its own cells one
+// by one.  The targets are exactly those of the classical per-cell scan, in
+// which every insulation cell is canonicalized and every owner of its region
+// taken.
+func (s *boundaryScan) targets(w octant.Key, emit bool) bool {
+	r := w.Octant()
 	h := r.Len()
+	s.w, s.r, s.emit = w, r, emit
 	// Per axis: the corner coordinates lo..hi of the in-root cells, and the
-	// group offsets — 0, plus −1 / +1 where the leaf touches the low / high
+	// group offsets — 0, plus −1 / +1 where the node touches the low / high
 	// root face.  Axes past the dimension keep the single offset 0.
 	var lo, hi [3]int32
 	var offs [3][3]int8
 	noff := [3]int{1, 1, 1}
-	for a := 0; a < b.f.Conn.dim; a++ {
+	for a := 0; a < s.f.Conn.dim; a++ {
 		c := r.Coord(a)
 		lo[a], hi[a] = c-h, c+h
 		if c == 0 {
@@ -601,22 +674,31 @@ func (b *queryBuilder) leaf(tree int32, leaf octant.Key) {
 			noff[a]++
 		}
 	}
+	found := false
 	for i := 0; i < noff[0]; i++ {
 		for j := 0; j < noff[1]; j++ {
 			for k := 0; k < noff[2]; k++ {
-				b.group(tree, leaf, r, &lo, &hi, octant.Dir{offs[0][i], offs[1][j], offs[2][k]})
+				if s.group(&lo, &hi, octant.Dir{offs[0][i], offs[1][j], offs[2][k]}) {
+					if !emit {
+						return true
+					}
+					found = true
+				}
 			}
 		}
 	}
+	return found
 }
 
-// group issues the queries of the insulation cells of leaf r (packed: leaf)
+// group enumerates the targets of the insulation cells of the current node
 // that lie across the root faces named by the exit offset g — the in-root
-// cells for g = 0.  lo and hi are the in-root corner ranges from leaf.
-func (b *queryBuilder) group(tree int32, leaf octant.Key, r octant.Octant, lo, hi *[3]int32, g octant.Dir) {
+// cells for g = 0 — and reports whether any passes the filter.  lo and hi
+// are the in-root corner ranges from targets.
+func (s *boundaryScan) group(lo, hi *[3]int32, g octant.Dir) bool {
+	r := s.r
 	h := r.Len()
 	cmin, cmax := r, r // the min- and max-corner cells of the group's box
-	for a := 0; a < b.f.Conn.dim; a++ {
+	for a := 0; a < s.f.Conn.dim; a++ {
 		if g[a] == 0 {
 			cmin, cmax = cmin.WithCoord(a, lo[a]), cmax.WithCoord(a, hi[a])
 		} else {
@@ -625,62 +707,67 @@ func (b *queryBuilder) group(tree int32, leaf octant.Key, r octant.Octant, lo, h
 		}
 	}
 	inRoot := g == octant.Dir{}
-	t, shift := tree, Shift{}
+	t, shift := s.tree, Shift{}
 	if !inRoot {
 		// Every cell of the group lies in the same neighbour grid cell, so
 		// the min corner's translation maps the whole box.
-		nt, c, sh, ok := b.f.Conn.Canonicalize(tree, cmin)
+		nt, c, sh, ok := s.f.Conn.Canonicalize(s.tree, cmin)
 		if !ok {
-			return // domain boundary
+			return false // domain boundary
 		}
 		t, shift, cmin, cmax = nt, sh, c, sh.Apply(cmax)
 	}
-	b.stats.groups++
+	if s.emit {
+		s.groups++
+	}
 	first := octant.KeyOf(cmin).FirstDescendant(octant.MaxLevel)
 	last := octant.KeyOf(cmax).LastDescendant(octant.MaxLevel)
-	q := query{tree: t, r: leaf}
 	if inRoot {
-		if b.ot.ownsRange(b.me, t, first, last) {
-			return // same tree, own partition: done by the local balance
+		if s.ot.ownsRange(s.me, t, first, last) {
+			return false // same tree, own partition
 		}
-	} else {
-		q.r = octant.KeyOf(shift.Apply(r))
-		if p := b.ot.ownerOfKey(t, first); p == b.ot.ownerOfKey(t, last) {
-			if p != b.me || t != tree {
-				b.issue(p, q, tree, shift)
-			}
-			return
-		}
+	} else if p := s.ot.ownerOfKey(t, first); p == s.ot.ownerOfKey(t, last) {
+		return s.take(p, t, shift)
 	}
 	// The group straddles a partition boundary: resolve its cells one by
 	// one.  Repeated targets are skipped while they are adjacent and
-	// otherwise dropped by newQuerySet.
+	// otherwise dropped by the consumer's sort.
+	found := false
 	prev := [2]int{-1, -1}
-	for _, d := range b.dirs {
+	for _, d := range s.dirs {
 		if !groupHas(g, d, r, lo, hi) {
 			continue
 		}
-		b.stats.cells++
+		if s.emit {
+			s.cells++
+		}
 		var cell octant.Key
 		if inRoot {
-			cell = leaf.Neighbor(d)
-			if b.ot.ownsRegionKey(b.me, t, cell) {
+			cell = s.w.Neighbor(d)
+			if s.ot.ownsRegionKey(s.me, t, cell) {
 				continue
+			}
+			if !s.emit {
+				return true // another rank owns part of the cell: both filters keep it
 			}
 		} else {
 			cell = octant.KeyOf(shift.Apply(r.Neighbor(d)))
 		}
-		cf, cl := b.ot.ownersOfRegionKey(t, cell)
+		cf, cl := s.ot.ownersOfRegionKey(t, cell)
 		if [2]int{cf, cl} == prev {
 			continue
 		}
 		prev = [2]int{cf, cl}
 		for rank := cf; rank <= cl; rank++ {
-			if rank != b.me || t != tree {
-				b.issue(rank, q, tree, shift)
+			if s.take(rank, t, shift) {
+				if !s.emit {
+					return true
+				}
+				found = true
 			}
 		}
 	}
+	return found
 }
 
 // groupHas reports whether the insulation cell of r in direction d belongs
@@ -701,10 +788,27 @@ func groupHas(g, d octant.Dir, r octant.Octant, lo, hi *[3]int32) bool {
 	return true
 }
 
-// issue addresses query q, built from a leaf of the given tree by shift, to
-// rank.
-func (b *queryBuilder) issue(rank int, q query, tree int32, shift Shift) {
-	b.issued = append(b.issued, issuedQuery{dest: int32(rank), q: q, org: origin{tree: tree, shift: shift}})
+// take passes the target (rank, tree t) of the current node, whose cells
+// were reached by shift, through the filter and, when emitting, to the
+// output: a ghost send of the leaf, or a query of the leaf in t's frame.  It
+// reports whether the target passed.
+func (s *boundaryScan) take(rank int, t int32, shift Shift) bool {
+	if rank == s.me && (s.ghost || t == s.tree) {
+		return false
+	}
+	if !s.emit {
+		return true
+	}
+	if s.ghost {
+		s.sends = append(s.sends, GhostSend{Rank: rank, Tree: s.tree, Oct: s.r})
+		return true
+	}
+	q := query{tree: t, r: s.w}
+	if shift != (Shift{}) {
+		q.r = octant.KeyOf(shift.Apply(s.r))
+	}
+	s.issued = append(s.issued, issuedQuery{dest: int32(rank), q: q, org: origin{tree: s.tree, shift: shift}})
+	return true
 }
 
 // applyKey translates a packed octant by the shift.
@@ -715,102 +819,12 @@ func (s Shift) applyKey(k octant.Key) octant.Key {
 	return octant.KeyOf(s.Apply(k.Octant()))
 }
 
-// queryPrunable reports whether no leaf below virtual node w of tree t can
-// generate a balance query: w's own region is owned entirely by rank me and
-// every insulation cell of w is outside the domain, or maps back to the
-// same tree with all of its region owned by me.  The same-tree condition
-// matters because rank-local interactions that cross a tree boundary still
-// become self queries.  Soundness follows the same lattice-alignment
-// argument as (*Forest).ghostPrunable.
-//
-// w and the insulation grid are packed: the cell fan comes from the batch
-// neighbor kernel (octant.KeyNeighbors into buf, len(dirs) entries), and
-// cells still inside the root — for which Canonicalize is the identity —
-// take the packed-key owner lookup without ever materializing coordinates.
-// Only cells crossing the root boundary unpack for the connectivity map.
-func (f *Forest) queryPrunable(ot *ownerTable, dirs []octant.Dir, buf []octant.Key, t int32, w octant.Key, me int) bool {
-	if !ot.ownsRegionKey(me, t, w) {
-		return false
-	}
-	octant.KeyNeighbors(w, dirs, buf)
-	for _, cell := range buf[:len(dirs)] {
-		if cell.InsideRoot() {
-			if !ot.ownsRegionKey(me, t, cell) {
-				return false
-			}
-			continue
-		}
-		ti, cell2, _, ok := f.Conn.Canonicalize(t, cell.Octant())
-		if !ok {
-			continue // domain boundary: no interaction
-		}
-		if ti != t {
-			return false
-		}
-		if first, last := f.OwnersOfRegion(ti, cell2); first != me || last != me {
-			return false
-		}
-	}
-	return true
-}
-
-// queryBoundaryLeaves returns, per local chunk, the ascending indices of
-// the leaves that can generate balance queries — those not under a subtree
-// the recursive traversal proved to have an entirely same-tree, rank-local
-// insulation neighborhood.  Leaves outside the result contribute nothing to
-// the query sets, so enumerating only the survivors reproduces phase 2
-// exactly.  Top-level subtree tasks fan out over the worker pool; task
-// windows are emitted in curve order, so the index lists are deterministic
-// for a fixed task count (the query sets are identical at any count).
-func (f *Forest) queryBoundaryLeaves(me, workers int, par func(int, func(int))) ([][]int32, traverse.Stats) {
-	dirs := octant.Directions(f.Conn.dim, f.Conn.dim)
-	rootKey := octant.KeyOf(octant.Root(f.Conn.dim))
-	ot := f.ownerTable() // warmed serially; workers only read it
-	maxTasks := 1
-	if workers > 1 {
-		maxTasks = 4 * workers
-	}
-	type boundaryTask struct {
-		chunk int
-		t     traverse.TaskKeys
-	}
-	var tasks []boundaryTask
-	for ci := range f.Local {
-		for _, t := range traverse.SplitTasksKeys(rootKey, f.Local[ci].Leaves, maxTasks) {
-			tasks = append(tasks, boundaryTask{chunk: ci, t: t})
-		}
-	}
-	taskIdx := make([][]int32, len(tasks))
-	taskStats := make([]traverse.Stats, len(tasks))
-	par(len(tasks), func(i int) {
-		tk := tasks[i]
-		tc := &f.Local[tk.chunk]
-		var idx []int32
-		buf := make([]octant.Key, len(dirs))
-		traverse.SearchKeys(tk.t.Root, tc.Leaves[tk.t.Lo:tk.t.Hi], func(w octant.Key, lo, _ int, isLeaf bool) bool {
-			if isLeaf {
-				idx = append(idx, int32(tk.t.Lo+lo))
-				return true
-			}
-			return !f.queryPrunable(ot, dirs, buf, tc.Tree, w, me)
-		}, &taskStats[i])
-		taskIdx[i] = idx
-	})
-	out := make([][]int32, len(f.Local))
-	var st traverse.Stats
-	for i := range tasks {
-		out[tasks[i].chunk] = append(out[tasks[i].chunk], taskIdx[i]...)
-		st.Merge(taskStats[i])
-	}
-	return out, st
-}
-
 // respond processes one incoming query message and produces the response
 // payload plus its v0-equivalent raw size: for each query octant, the local
 // octants (old algorithm) or seed octants (new algorithm) that encode how
 // the query octant must split.  The query buffer is recycled here.
-func (f *Forest) respond(data []byte, k int, algo Algo, codec WireCodec, workers int, par func(int, func(int)), st *respondStats) ([]byte, int) {
-	dim := int8(f.Conn.dim)
+func (f *Forest) respond(data []byte, k int, algo Algo, workers int, par func(int, func(int)), st *respondStats) ([]byte, int) {
+	dim, codec := int8(f.Conn.dim), f.Wire
 	d := wireDec{b: data, codec: codec, dim: dim}
 	minQuery := d.minOct() + 1 // tree id is at least one byte (4 in v0)
 	if codec != WireV1 {

@@ -180,15 +180,11 @@ func TestBuildQueriesMatchesClassical(t *testing.T) {
 						}
 					}
 				}
-				boundary, _ := f.queryBoundaryLeaves(me, 1, serialPar)
-				set, st := f.buildQueries(me, boundary)
-				cells.Add(int64(st.cells))
-				leaves := 0
-				for _, idx := range boundary {
-					leaves += len(idx)
-				}
-				if st.groups > leaves<<f.Conn.dim {
-					t.Errorf("%s P=%d rank %d: %d groups for %d boundary leaves, more than 2^d each", topo.name, p, me, st.groups, leaves)
+				scan := f.scanBoundary(me, false, 1, serialPar)
+				set := newQuerySet(scan.issued)
+				cells.Add(int64(scan.cells))
+				if leaves := scan.st.Leaves; scan.groups > leaves<<f.Conn.dim {
+					t.Errorf("%s P=%d rank %d: %d groups for %d boundary leaves, more than 2^d each", topo.name, p, me, scan.groups, leaves)
 				}
 				if len(set.qs) != len(want) {
 					t.Errorf("%s P=%d rank %d: %d queries, classical enumeration has %d", topo.name, p, me, len(set.qs), len(want))
@@ -271,8 +267,7 @@ func TestRespondQueriesWorkerInvariant(t *testing.T) {
 	conn := NewBrick(3, 2, 2, 1, [3]bool{})
 	runForest(t, conn, 1, 1, func(c *comm.Comm, f *Forest) {
 		f.Refine(c, 5, fractalRefine(5))
-		boundary, _ := f.queryBoundaryLeaves(0, 1, serialPar)
-		set, _ := f.buildQueries(0, boundary)
+		set := newQuerySet(f.scanBoundary(0, false, 1, serialPar).issued)
 		if len(set.qs) == 0 {
 			t.Fatal("no self queries on a four-tree forest")
 		}
@@ -283,7 +278,7 @@ func TestRespondQueriesWorkerInvariant(t *testing.T) {
 				t.Errorf("algo %v: %d hits, %d families", algo, serial.hits, serial.families)
 			}
 			for _, workers := range []int{0, 3, runtime.NumCPU()} {
-				n := (BalanceOptions{Workers: workers}).workerCount(c.LocalRanks())
+				n := (&Forest{Workers: workers}).workerCount(c.LocalRanks())
 				var st respondStats
 				got := f.respondQueries(set.qs, 3, algo, n, func(k int, task func(int)) { parallelFor(n, k, task) }, &st)
 				if st.hits != serial.hits || st.families != serial.families {
@@ -316,8 +311,7 @@ func TestRespondQueriesParallelBytes(t *testing.T) {
 		f.Local = append(f.Local, TreeChunk{Tree: tree, Leaves: leaves})
 		f.NumGlobal += int64(len(leaves))
 	}
-	boundary, _ := f.queryBoundaryLeaves(0, 1, serialPar)
-	set, _ := f.buildQueries(0, boundary)
+	set := newQuerySet(f.scanBoundary(0, false, 1, serialPar).issued)
 	if len(set.qs) == 0 {
 		t.Fatal("no self queries on the four-tree canned forest")
 	}

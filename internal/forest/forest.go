@@ -81,18 +81,22 @@ type Forest struct {
 	// operations.
 	NumGlobal int64
 
-	// Wire selects the payload encoding of the forest-level exchanges that
-	// are not configured per call (ghost construction, partition transfers);
-	// Balance takes its codec from BalanceOptions.  The zero value is the
-	// legacy WireV0 format.
+	// Wire selects the payload encoding of every exchange of the forest:
+	// Balance's queries, responses and notify pattern, the ghost layer and
+	// the partition transfers.  The zero value is the legacy WireV0 format.
+	// Results are bit-identical under every codec; only the byte volume
+	// changes.
 	Wire comm.WireCodec
 
-	// Workers bounds the rank-local worker pool of the forest-level local
-	// fan-outs that are not configured per call (the ghost-scan traversal);
-	// Balance takes its pool size from BalanceOptions.Workers.  Unlike that
-	// field, 0 (the zero value) keeps the ghost scan serial, as does 1;
-	// n > 1 uses n goroutines, a negative value uses one worker per
-	// available CPU.  Results are bit-identical at every worker count.
+	// Workers bounds the rank-local worker pool that the local stages fan
+	// out over: Balance's per-tree subtree balance, boundary scan, query
+	// responses and rebalance, and the ghost layer's boundary scan.  0 (the
+	// zero value) splits the CPUs among the ranks this process hosts:
+	// max(1, GOMAXPROCS / Comm.LocalRanks()) workers, so a single rank uses
+	// every core and one rank per core runs serially.  1 runs serially on
+	// the rank's own goroutine; n > 1 uses a pool of n goroutines; a
+	// negative value uses one worker per available CPU.  Results are
+	// bit-identical at every worker count.
 	Workers int
 
 	// otab caches the packed-key owner table derived from GFP; otabSrc and

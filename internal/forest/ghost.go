@@ -6,6 +6,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/linear"
 	"repro/internal/notify"
+	"repro/internal/obs"
 	"repro/internal/octant"
 	"repro/internal/traverse"
 )
@@ -60,124 +61,18 @@ func compareGhostSends(a, b GhostSend) int {
 	}
 }
 
-// ghostPrunable reports whether no leaf below virtual node w of tree t can
-// contribute a ghost send: w's own region and every insulation cell of w
-// are either outside the domain or owned entirely by rank me.  Soundness
-// rests on the alignment of the lattice: a leaf's same-size neighbor lies
-// entirely within exactly one cell of w's 3^d insulation grid (cube sides
-// are powers of two dividing w's side, so no neighbor straddles a cell
-// boundary), each cell canonicalizes to the same target tree as any of its
-// subcubes, and the owner range of a subregion is contained in the owner
-// range of its enclosing region.
-//
-// Like queryPrunable, the node and its insulation grid stay packed: the
-// cell fan is the batch neighbor kernel and in-root cells (Canonicalize is
-// the identity there) take the packed-key owner lookup directly.
-func (f *Forest) ghostPrunable(ot *ownerTable, dirs []octant.Dir, buf []octant.Key, t int32, w octant.Key, me int) bool {
-	if first, last := ot.ownersOfRegionKey(t, w); first != me || last != me {
-		return false
-	}
-	octant.KeyNeighbors(w, dirs, buf)
-	for _, cell := range buf[:len(dirs)] {
-		if cell.InsideRoot() {
-			if first, last := ot.ownersOfRegionKey(t, cell); first != me || last != me {
-				return false
-			}
-			continue
-		}
-		ti, cell2, _, ok := f.Conn.Canonicalize(t, cell.Octant())
-		if !ok {
-			continue // outside the domain: no receiver there
-		}
-		if first, last := f.OwnersOfRegion(ti, cell2); first != me || last != me {
-			return false
-		}
-	}
-	return true
-}
-
-// GhostScan computes the full ghost send schedule of rank me by recursive
-// simultaneous traversal (internal/traverse): each local tree chunk is
-// descended top-down and subtrees whose entire insulation neighborhood is
-// rank-local are pruned without touching their leaves, so the work is
-// proportional to the partition boundary rather than the partition volume.
-// The surviving leaves enumerate their canonicalized neighbor regions
-// exactly as the classical per-leaf scan does; a final sort+compact
-// replaces the per-rank hash dedup, making the schedule — sorted by (rank,
-// tree, curve position) — bit-identical to the scan at any worker count.
-// Top-level subtree tasks fan out over the rank-local worker pool when
-// f.Workers asks for one.  Exported for the differential tests.
-func (f *Forest) GhostScan(me int) ([]GhostSend, traverse.Stats) {
-	dirs := octant.Directions(f.Conn.dim, f.Conn.dim)
-	rootKey := octant.KeyOf(octant.Root(f.Conn.dim))
-	ot := f.ownerTable() // warmed serially; workers only read it
-	workers := f.localWorkers()
-	maxTasks := 1
-	if workers > 1 {
-		maxTasks = 4 * workers
-	}
-	type ghostTask struct {
-		tree   int32
-		leaves []octant.Key
-		t      traverse.TaskKeys
-	}
-	var tasks []ghostTask
-	for _, tc := range f.Local {
-		for _, t := range traverse.SplitTasksKeys(rootKey, tc.Leaves, maxTasks) {
-			tasks = append(tasks, ghostTask{tree: tc.Tree, leaves: tc.Leaves, t: t})
-		}
-	}
-	sends := make([][]GhostSend, len(tasks))
-	stats := make([]traverse.Stats, len(tasks))
-	parallelFor(workers, len(tasks), func(i int) {
-		tk := tasks[i]
-		var out []GhostSend
-		buf := make([]octant.Key, len(dirs))
-		traverse.SearchKeys(tk.t.Root, tk.leaves[tk.t.Lo:tk.t.Hi], func(w octant.Key, _, _ int, isLeaf bool) bool {
-			if !isLeaf {
-				return !f.ghostPrunable(ot, dirs, buf, tk.tree, w, me)
-			}
-			// The surviving leaf fans its insulation grid through the
-			// batch neighbor kernel; it is unpacked (once) only if some
-			// cell actually produces a send.
-			var wo octant.Octant
-			unpacked := false
-			octant.KeyNeighbors(w, dirs, buf)
-			for _, n := range buf[:len(dirs)] {
-				var first, last int
-				if n.InsideRoot() {
-					first, last = ot.ownersOfRegionKey(tk.tree, n)
-				} else {
-					ti, n2, _, ok := f.Conn.Canonicalize(tk.tree, n.Octant())
-					if !ok {
-						continue
-					}
-					first, last = f.OwnersOfRegion(ti, n2)
-				}
-				for rank := first; rank <= last; rank++ {
-					if rank == me {
-						continue
-					}
-					if !unpacked {
-						wo = w.Octant()
-						unpacked = true
-					}
-					out = append(out, GhostSend{Rank: rank, Tree: tk.tree, Oct: wo})
-				}
-			}
-			return true
-		}, &stats[i])
-		sends[i] = out
-	})
-	var all []GhostSend
-	var st traverse.Stats
-	for i := range tasks {
-		all = append(all, sends[i]...)
-		st.Merge(stats[i])
-	}
-	slices.SortFunc(all, compareGhostSends)
-	all = slices.Compact(all)
-	return all, st
+// ghostScan computes the ghost send schedule of rank me: the boundary scan
+// under the ghost filter, whose subtrees with an entirely rank-local
+// insulation neighborhood are pruned without touching their leaves, so the
+// work is proportional to the partition boundary rather than the partition
+// volume.  Each surviving leaf is sent to every other rank owning part of
+// one of its insulation cells; a final sort+compact replaces the per-rank
+// hash dedup, making the schedule — sorted by (rank, tree, curve position) —
+// bit-identical at any worker count.
+func (f *Forest) ghostScan(me, workers int) ([]GhostSend, traverse.Stats, groupStats) {
+	scan := f.scanBoundary(me, true, workers, func(n int, task func(int)) { parallelFor(workers, n, task) })
+	slices.SortFunc(scan.sends, compareGhostSends)
+	return slices.Compact(scan.sends), scan.st, scan.groupStats
 }
 
 const tagGhost = 102
@@ -185,15 +80,17 @@ const tagGhost = 102
 // BuildGhost constructs the ghost layer collectively: every rank sends each
 // of its boundary leaves to the owners of the regions adjacent to it, and
 // keeps the received leaves that are adjacent to one of its own.  The send
-// schedule comes from the recursive traversal (GhostScan); the asymmetric
+// schedule comes from the boundary scan (ghostScan); the asymmetric
 // pattern is reversed with the Notify algorithm of Section V.
 func (f *Forest) BuildGhost(c *comm.Comm) *GhostLayer {
 	defer c.Tracer().Begin(c.Rank(), "ghost", "forest").End()
-	sends, st := f.GhostScan(c.Rank())
+	sends, st, gs := f.ghostScan(c.Rank(), f.workerCount(c.LocalRanks()))
 	tr := c.Tracer()
 	tr.Add(c.Rank(), "ghost/nodes", int64(st.Nodes))
 	tr.Add(c.Rank(), "ghost/leaves", int64(st.Leaves))
 	tr.Add(c.Rank(), "ghost/pruned", int64(st.Pruned))
+	tr.Add(c.Rank(), obs.CounterGhostGroups, int64(gs.groups))
+	tr.Add(c.Rank(), obs.CounterGhostCells, int64(gs.cells))
 
 	c.SetPhase("ghost")
 	var receivers []int

@@ -25,7 +25,8 @@ func TestKeyLocalBalanceBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		got := gather(conn, runForest(t, conn, p, 1, func(c *comm.Comm, f *Forest) {
 			build(c, f)
-			f.Balance(c, k, BalanceOptions{Workers: workers})
+			f.Workers = workers
+			f.Balance(c, k, BalanceOptions{})
 		}))
 		if !forestsEqual(got, want) {
 			t.Fatalf("workers %d: balanced forest differs from RefBalance of the input", workers)

@@ -6,10 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// numCPUWorkers is the pool size a negative BalanceOptions.Workers asks for.
+// numCPUWorkers is the pool size a negative Forest.Workers asks for.
 func numCPUWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// This file is the rank-local worker pool behind BalanceOptions.Workers: a
+// This file is the rank-local worker pool behind Forest.Workers: a
 // bounded fork-join helper that fans independent index ranges out over a
 // fixed number of goroutines.  Tasks pull indices from a shared atomic
 // counter (work stealing over a static range), so scheduling order is
@@ -66,31 +66,18 @@ func parallelFor(workers, n int, task func(i int)) {
 	}
 }
 
-// workerCount resolves the option field to an effective pool size for a
-// rank whose process hosts localRanks ranks.  The zero value shares the
+// workerCount resolves Forest.Workers to an effective pool size for a rank
+// whose process hosts localRanks ranks.  The zero value shares the
 // process's CPUs among its ranks, max(1, GOMAXPROCS/localRanks), so a lone
 // rank uses every core and P ranks on P cores stay serial; 1 runs
 // serially, n > 1 uses a pool of n workers, and a negative value asks for
 // one worker per available CPU.
-func (opt BalanceOptions) workerCount(localRanks int) int {
-	if opt.Workers == 0 {
+func (f *Forest) workerCount(localRanks int) int {
+	switch {
+	case f.Workers == 0:
 		return max(1, numCPUWorkers()/max(1, localRanks))
+	case f.Workers < 0:
+		return numCPUWorkers()
 	}
-	return resolveWorkers(opt.Workers)
-}
-
-// localWorkers resolves Forest.Workers, where 0 (the zero value) stays
-// serial; other values mean what they mean for BalanceOptions.Workers.
-func (f *Forest) localWorkers() int {
-	return resolveWorkers(f.Workers)
-}
-
-func resolveWorkers(w int) int {
-	if w < 0 {
-		w = numCPUWorkers()
-	}
-	if w < 1 {
-		return 1
-	}
-	return w
+	return f.Workers
 }

@@ -54,7 +54,8 @@ func balanceTraced(t *testing.T, p, workers int) (*obs.Tracer, uint64) {
 		f := NewUniform(conn, c, 1)
 		f.Refine(c, 4, fractalRefine(4))
 		f.Partition(c, nil)
-		f.Balance(c, 3, BalanceOptions{Workers: workers})
+		f.Workers = workers
+		f.Balance(c, 3, BalanceOptions{})
 		if s := f.Checksum(c); c.Rank() == 0 {
 			sum = s
 		}
@@ -123,13 +124,8 @@ func TestWorkerCountResolution(t *testing.T) {
 		{1, 1, 1}, {2, 1, 2}, {7, 1, 7}, {7, 64, 7}, {-1, 1, procs}, {-1, 64, procs},
 	}
 	for _, c := range cases {
-		if got := (BalanceOptions{Workers: c.workers}).workerCount(c.localRanks); got != c.want {
+		if got := (&Forest{Workers: c.workers}).workerCount(c.localRanks); got != c.want {
 			t.Errorf("workerCount(Workers=%d, %d local ranks) = %d, want %d", c.workers, c.localRanks, got, c.want)
-		}
-	}
-	for _, c := range []struct{ workers, want int }{{0, 1}, {1, 1}, {3, 3}, {-1, procs}} {
-		if got := (&Forest{Workers: c.workers}).localWorkers(); got != c.want {
-			t.Errorf("Forest{Workers: %d}.localWorkers() = %d, want %d", c.workers, got, c.want)
 		}
 	}
 }

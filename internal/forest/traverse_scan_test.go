@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/obs"
 	"repro/internal/octant"
 )
 
 // bruteGhostSends reproduces the classical per-leaf × per-direction ghost
 // send enumeration (the pre-traversal BuildGhost loop) as an oracle for the
-// recursive GhostScan.
+// boundary scan's ghost consumer (ghostScan).
 func bruteGhostSends(f *Forest, me int) []GhostSend {
 	dirs := octant.Directions(f.Conn.dim, f.Conn.dim)
 	set := make(map[GhostSend]bool)
@@ -46,10 +47,12 @@ func serialPar(n int, task func(int)) {
 	}
 }
 
-// TestGhostScanMatchesBruteScan checks the recursive ghost traversal emits
-// exactly the classical per-leaf send schedule across topologies (including
-// periodic and masked bricks), world sizes and worker counts, and that at
-// P=1 the traversal prunes every leaf (nothing can be remote).
+// TestGhostScanMatchesBruteScan checks the boundary scan under the ghost
+// filter emits exactly the classical per-leaf send schedule across
+// topologies (including periodic and masked bricks), world sizes and worker
+// counts (the default pool, serial and 3), and that at P=1 the serial
+// traversal prunes every leaf (nothing can be remote; a pool may cut a task
+// down to a single leaf, which is visited).
 func TestGhostScanMatchesBruteScan(t *testing.T) {
 	topos := []struct {
 		name string
@@ -72,9 +75,9 @@ func TestGhostScanMatchesBruteScan(t *testing.T) {
 				f.Partition(c, nil)
 				me := c.Rank()
 				want := bruteGhostSends(f, me)
-				for _, workers := range []int{0, 3} {
+				for _, workers := range []int{0, 1, 3} {
 					f.Workers = workers
-					got, st := f.GhostScan(me)
+					got, st, _ := f.ghostScan(me, f.workerCount(c.LocalRanks()))
 					if len(got) != len(want) {
 						t.Errorf("%s P=%d rank %d workers %d: %d sends, brute force %d",
 							topo.name, p, me, workers, len(got), len(want))
@@ -87,7 +90,7 @@ func TestGhostScanMatchesBruteScan(t *testing.T) {
 							return
 						}
 					}
-					if p == 1 && workers == 0 && st.Leaves != 0 {
+					if p == 1 && workers == 1 && st.Leaves != 0 {
 						t.Errorf("%s P=1: traversal visited %d leaves; everything is rank-local and should prune",
 							topo.name, st.Leaves)
 					}
@@ -97,9 +100,10 @@ func TestGhostScanMatchesBruteScan(t *testing.T) {
 	}
 }
 
-// TestQueryBoundaryLeavesComplete checks every leaf that generates a
-// balance query (by the classical enumeration) appears in the traversal's
-// boundary index lists, and the lists are ascending and in range.
+// TestQueryBoundaryLeavesComplete checks that every leaf that generates a
+// balance query (by the classical enumeration) issues one in the boundary
+// scan under the query filter — no subtree holding such a leaf is pruned —
+// and that the scan lists the issuing leaves chunk by chunk in curve order.
 func TestQueryBoundaryLeavesComplete(t *testing.T) {
 	topos := []struct {
 		name string
@@ -116,21 +120,25 @@ func TestQueryBoundaryLeavesComplete(t *testing.T) {
 				f.Refine(c, 3, fractalRefine(3))
 				f.Partition(c, nil)
 				me := c.Rank()
-				boundary, _ := f.queryBoundaryLeaves(me, 1, serialPar)
+				type leafRef struct {
+					tree int32
+					leaf octant.Key
+				}
+				listed := make(map[leafRef]bool)
+				var prev leafRef
+				for i, iq := range f.scanBoundary(me, false, 1, serialPar).issued {
+					cur := leafRef{iq.org.tree, iq.org.shift.Inverse().applyKey(iq.q.r)}
+					if i > 0 && (cur.tree < prev.tree || (cur.tree == prev.tree && octant.KeyLess(cur.leaf, prev.leaf))) {
+						t.Errorf("%s P=%d rank %d: leaf %v of tree %d issues after leaf %v of tree %d",
+							topo.name, p, me, cur.leaf.Octant(), cur.tree, prev.leaf.Octant(), prev.tree)
+						return
+					}
+					prev = cur
+					listed[cur] = true
+				}
 				for ci := range f.Local {
 					tc := &f.Local[ci]
-					listed := make(map[int32]bool, len(boundary[ci]))
-					prev := int32(-1)
-					for _, li := range boundary[ci] {
-						if li <= prev || int(li) >= len(tc.Leaves) {
-							t.Errorf("%s P=%d rank %d tree %d: bad boundary index %d after %d",
-								topo.name, p, me, tc.Tree, li, prev)
-							return
-						}
-						prev = li
-						listed[li] = true
-					}
-					for li, r := range tc.Octants() {
+					for _, r := range tc.Octants() {
 						generates := false
 						for _, d := range dirs {
 							ins := r.Neighbor(d)
@@ -149,7 +157,7 @@ func TestQueryBoundaryLeavesComplete(t *testing.T) {
 								generates = true
 							}
 						}
-						if generates && !listed[int32(li)] {
+						if generates && !listed[leafRef{tc.Tree, octant.KeyOf(r)}] {
 							t.Errorf("%s P=%d rank %d tree %d: leaf %v generates a query but was pruned",
 								topo.name, p, me, tc.Tree, r)
 							return
@@ -158,5 +166,56 @@ func TestQueryBoundaryLeavesComplete(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBoundaryScanCounters pins the work counters of the boundary scan on a
+// canned three-tree forest whose partition at P = 2 cuts the middle tree,
+// so groups straddle it.  The traversal, query and ghost-traversal counts
+// are those of the separate query and ghost scans this engine replaced;
+// ghost/groups and ghost/cells record the group work of the ghost consumer,
+// against 352 × 26 = 9 152 cells per rank resolved one by one before.  At
+// P = 1 the ghost scan prunes everything and resolves no cell.
+func TestBoundaryScanCounters(t *testing.T) {
+	conn := NewBrick(3, 3, 1, 1, [3]bool{})
+	counters := func(p int) *obs.Tracer {
+		tracer := obs.NewTracer(p)
+		w := comm.NewWorld(p)
+		w.SetTracer(tracer)
+		w.Run(func(c *comm.Comm) {
+			f := NewUniform(conn, c, 1)
+			f.Workers = 1
+			f.Refine(c, 4, fractalRefine(4))
+			f.Partition(c, nil)
+			f.Balance(c, 3, BalanceOptions{})
+			f.BuildGhost(c)
+		})
+		w.Close()
+		return tracer
+	}
+	want := map[string]int64{
+		"balance/query-nodes":     112,
+		"balance/query-leaves":    414,
+		"balance/query-pruned":    46,
+		obs.CounterQueryGroups:    572,
+		obs.CounterQueryCells:     2006,
+		obs.CounterBalanceQueries: 258,
+		"ghost/nodes":             110,
+		"ghost/leaves":            352,
+		"ghost/pruned":            52,
+		obs.CounterGhostGroups:    476,
+		obs.CounterGhostCells:     2126,
+	}
+	tr := counters(2)
+	for r := 0; r < 2; r++ {
+		for name, v := range want {
+			if got := tr.Counter(r, name); got != v {
+				t.Errorf("P=2 rank %d: %s = %d, want %d", r, name, got, v)
+			}
+		}
+	}
+	tr = counters(1)
+	if g, c := tr.Counter(0, obs.CounterGhostGroups), tr.Counter(0, obs.CounterGhostCells); g != 0 || c != 0 {
+		t.Errorf("P=1: %s = %d, %s = %d, want 0 and 0", obs.CounterGhostGroups, g, obs.CounterGhostCells, c)
 	}
 }

@@ -50,7 +50,7 @@ func codecInvarianceScenarios() []Scenario {
 // delta-Morton WireV1 format must produce the same checksum on every
 // scenario.  Each leg also passes the full differential check inside Run
 // (oracle diff, audit, CheckForest), so this is the correctness guarantee
-// of BalanceOptions.Codec, not just a checksum smoke test.
+// of Forest.Wire, not just a checksum smoke test.
 func TestWireCodecInvariance(t *testing.T) {
 	codecs := []forest.WireCodec{forest.WireV0, forest.WireV1}
 	for _, base := range codecInvarianceScenarios() {

@@ -2,101 +2,13 @@ package harness
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/forest"
-	"repro/internal/linear"
-	"repro/internal/octant"
 )
 
-// This file freezes the classical (pre-traversal) ghost construction as a
-// reference oracle: the per-leaf × per-direction send enumeration every rank
-// used to run, followed by the receive-side adjacency filter.  It is
-// computed without communication from the gathered global forest, so the
-// differential tests can diff the recursive-traversal BuildGhost against it
-// octant-for-octant on every rank.  The oracle deliberately shares no code
-// with internal/traverse.
-
-// RefGhost returns the ghost layer the classical BuildGhost enumeration
-// produces for rank me: every remote leaf o of tree t such that
-//
-//   - the owner of o would have sent it here, i.e. some canonicalized
-//     neighbor region of o has me in its owner range, and
-//   - the receive filter keeps it, i.e. o is truly adjacent (codimension
-//     >= 1, across tree boundaries) to one of me's local leaves,
-//
-// sorted by (tree, curve position) exactly like forest.GhostLayer.  f
-// supplies this rank's chunks and the (globally identical) partition table;
-// global is the gathered forest, e.g. from gatherGlobal.
-func RefGhost(f *forest.Forest, global [][]octant.Octant, me int) []forest.GhostOctant {
-	dim := f.Conn.Dim()
-	dirs := octant.Directions(dim, dim)
-	var out []forest.GhostOctant
-	for t := range global {
-		for _, o := range global[t] {
-			owner := f.OwnerOf(forest.PosOf(int32(t), o))
-			if owner == me {
-				continue
-			}
-			sent := false
-			for _, d := range dirs {
-				ti, n2, _, ok := f.Conn.Canonicalize(int32(t), o.Neighbor(d))
-				if !ok {
-					continue
-				}
-				if first, last := f.OwnersOfRegion(ti, n2); first <= me && me <= last {
-					sent = true
-					break
-				}
-			}
-			if !sent || !refAdjacentToLocal(f, int32(t), o) {
-				continue
-			}
-			out = append(out, forest.GhostOctant{Tree: int32(t), Oct: o, Owner: owner})
-		}
-	}
-	slices.SortFunc(out, func(a, b forest.GhostOctant) int {
-		if a.Tree != b.Tree {
-			return int(a.Tree) - int(b.Tree)
-		}
-		return octant.Compare(a.Oct, b.Oct)
-	})
-	return out
-}
-
-// refAdjacentToLocal is the receive-side filter of the classical ghost
-// exchange: leaf o of tree t is kept when one of its canonicalized neighbor
-// regions overlaps a local leaf that is adjacent to o in a common frame.
-func refAdjacentToLocal(f *forest.Forest, t int32, o octant.Octant) bool {
-	dim := f.Conn.Dim()
-	for _, d := range octant.Directions(dim, dim) {
-		ti, n2, shift, ok := f.Conn.Canonicalize(t, o.Neighbor(d))
-		if !ok {
-			continue
-		}
-		var tc *forest.TreeChunk
-		for i := range f.Local {
-			if f.Local[i].Tree == ti {
-				tc = &f.Local[i]
-				break
-			}
-		}
-		if tc == nil {
-			continue
-		}
-		oin := shift.Apply(o)
-		lo, hi := linear.OverlapRangeKeys(tc.Leaves, octant.KeyOf(n2))
-		for _, leaf := range tc.Leaves[lo:hi] {
-			if octant.Adjacency(oin, leaf.Octant()) >= 1 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// DiffGhostLayers compares a rank's built ghost layer against the reference
-// oracle entry-for-entry and reports the first difference.
+// DiffGhostLayers compares two ghost layers of one rank — say, built under
+// two transports or two codecs — entry for entry and reports the first
+// difference.
 func DiffGhostLayers(got, want []forest.GhostOctant) error {
 	n := len(got)
 	if len(want) < n {
@@ -104,12 +16,12 @@ func DiffGhostLayers(got, want []forest.GhostOctant) error {
 	}
 	for i := 0; i < n; i++ {
 		if got[i] != want[i] {
-			return fmt.Errorf("ghost %d is %+v, reference oracle has %+v (lengths %d vs %d)",
+			return fmt.Errorf("ghost %d is %+v, the other layer has %+v (lengths %d vs %d)",
 				i, got[i], want[i], len(got), len(want))
 		}
 	}
 	if len(got) != len(want) {
-		return fmt.Errorf("ghost layer has %d octants, reference oracle %d", len(got), len(want))
+		return fmt.Errorf("ghost layer has %d octants, the other %d", len(got), len(want))
 	}
 	return nil
 }

@@ -120,18 +120,18 @@ type Scenario struct {
 	Notify    forest.NotifyScheme
 	MaxRanges int // for NotifyRanges; 0 = default
 
-	// Workers is the rank-local worker pool size for the balance phases
-	// (forest.BalanceOptions.Workers): 0 takes Balance's default, which
-	// shares the host's CPUs among the scenario's ranks, and 1 runs
-	// serially.  The ghost scan (forest.Forest.Workers) runs serially at
-	// both.  The balanced forest must be bit-identical at every value —
-	// the oracle diff and the chaos checksum cross-check verify that on
-	// every parallel scenario.
+	// Workers is the rank-local worker pool size of the scenario's forests
+	// (forest.Forest.Workers), shared by the balance phases and the ghost
+	// scan: 0 takes the default, which shares the host's CPUs among the
+	// scenario's ranks, and 1 runs serially.  The balanced forest and the
+	// ghost layer must be bit-identical at every value — the oracle diff,
+	// the audit and the chaos checksum cross-check verify that on every
+	// parallel scenario.
 	Workers int
 
-	// Codec is the wire codec used for every balance payload
-	// (forest.BalanceOptions.Codec).  The balanced forest must be
-	// bit-identical under every codec — the oracle diff and the checksum
+	// Codec is the wire codec of the scenario's forests (forest.Forest.Wire):
+	// every balance, ghost and partition payload.  The balanced forest must
+	// be bit-identical under every codec — the oracle diff and the checksum
 	// cross-check verify that on every scenario that samples WireV1.
 	Codec forest.WireCodec
 
@@ -424,9 +424,10 @@ func (sc Scenario) Refiner() otest.RefineFunc {
 	return func(tree int32, o octant.Octant) bool { return false }
 }
 
-// Options returns the forest.BalanceOptions the scenario selects.
+// Options returns the forest.BalanceOptions the scenario selects; the
+// worker pool and the codec are set on the forest itself.
 func (sc Scenario) Options() forest.BalanceOptions {
-	return forest.BalanceOptions{Algo: sc.Algo, Notify: sc.Notify, MaxRanges: sc.MaxRanges, Workers: sc.Workers, Codec: sc.Codec}
+	return forest.BalanceOptions{Algo: sc.Algo, Notify: sc.Notify, MaxRanges: sc.MaxRanges}
 }
 
 // String is a compact one-line description for logs.

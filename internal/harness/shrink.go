@@ -83,7 +83,7 @@ func shrinkCandidates(sc Scenario) []Scenario {
 		add(s)
 	}
 	// Serial execution: if the failure survives without the worker pool,
-	// intra-rank parallelism is exonerated.  Workers 0 is Balance's
+	// intra-rank parallelism is exonerated.  Workers 0 is the forest's
 	// default, which takes a pool on a host with spare CPUs, so it is
 	// tried too.  A scenario that reproduces only with a pool makes this
 	// candidate pass, so Workers stays pinned in the shrunken scenario

@@ -39,7 +39,7 @@ func workerInvarianceScenarios() []Scenario {
 // bit-identical at every worker-pool size: serial, one worker per CPU, and
 // an oversubscribed pool.  Each leg also passes the full differential
 // check inside Run (oracle diff, audit, CheckForest), so this is the
-// determinism guarantee of BalanceOptions.Workers, not just a checksum
+// determinism guarantee of Forest.Workers, not just a checksum
 // smoke test.
 func TestWorkerCountInvariance(t *testing.T) {
 	ncpu := runtime.NumCPU()

@@ -23,7 +23,7 @@ import (
 )
 
 // Well-known names emitted by the forest's intra-rank parallel pipeline
-// (BalanceOptions.Workers).  SpanLocalPar brackets each region the balance
+// (Forest.Workers).  SpanLocalPar brackets each region the balance
 // phases hand to the worker pool — it is opened and closed on the rank's
 // own goroutine, so the strict span-nesting rule holds even while workers
 // run; the workers themselves never touch the tracer.  GaugeLocalWorkers is
@@ -43,7 +43,8 @@ const (
 // owners were bracketed, and cells resolved one by one where a group
 // straddles a partition boundary — and the responder's funnel: queries
 // issued, candidate (query, leaf) hits, and the hits left after collapsing
-// sibling families.
+// sibling families.  Forest.BuildGhost counts the same boundary-scan work
+// for its send schedule under the ghost/ prefix.
 const (
 	SpanQueryBuild       = "query/build"
 	SpanQRSend           = "qr/send"
@@ -56,6 +57,8 @@ const (
 
 	CounterQueryGroups     = "balance/query-groups"
 	CounterQueryCells      = "balance/query-cells"
+	CounterGhostGroups     = "ghost/groups"
+	CounterGhostCells      = "ghost/cells"
 	CounterBalanceQueries  = "balance/queries"
 	CounterRespondHits     = "balance/respond-hits"
 	CounterRespondFamilies = "balance/respond-families"

@@ -34,6 +34,11 @@ type Experiment struct {
 	K int
 	// Options selects the balance algorithm variants.
 	Options BalanceOptions
+	// Workers is the rank-local worker pool size of every rank's forest
+	// (Forest.Workers: 0 = max(1, GOMAXPROCS / Ranks), 1 = serial).
+	Workers int
+	// Codec is the wire codec of every rank's forest (Forest.Wire).
+	Codec WireCodec
 	// SkipPartition leaves the post-refinement load imbalance in place.
 	SkipPartition bool
 	// Tracer, when non-nil, is attached to the world: every phase,
@@ -55,7 +60,7 @@ type Result struct {
 	K     int
 	Algo  Algo
 	// Workers is the rank-local worker pool size the run asked for
-	// (BalanceOptions.Workers: 0 = the default, 1 = serial).
+	// (Experiment.Workers: 0 = the default, 1 = serial).
 	Workers int
 	// Codec is the wire codec the run's payloads were encoded with.
 	Codec         WireCodec
@@ -165,13 +170,13 @@ func (e Experiment) Run() Result {
 	res.Ranks = e.Ranks
 	res.K = k
 	res.Algo = e.Options.Algo
-	res.Workers = e.Options.Workers
-	res.Codec = e.Options.Codec
+	res.Workers = e.Workers
+	res.Codec = e.Codec
 	phases = make([]PhaseTimes, e.Ranks)
 
 	w.Run(func(c *comm.Comm) {
 		f := forest.NewUniform(e.Conn, c, e.BaseLevel)
-		f.Wire = e.Options.Codec
+		f.Wire, f.Workers = e.Codec, e.Workers
 		if e.Refine != nil {
 			f.Refine(c, e.MaxLevel, e.Refine)
 		}
